@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     BadDomain,
@@ -150,7 +149,7 @@ def log_gamma_ratio(a: float, b: float) -> float:
     """ln Gamma(a) - ln Gamma(b) for positive a, b."""
     if not (a > 0 and b > 0):
         raise BadDomain("need a, b > 0")
-    return float(gammaln(a) - gammaln(b))
+    return math.lgamma(a) - math.lgamma(b)
 
 
 def dimension_bound(n: int, epsilon: float) -> tuple[float, float]:
@@ -184,7 +183,7 @@ def log_cn(n: int) -> float:
         raise BadDomain("prefactor defined for n >= 2")
     return (
         math.log(n - 1)
-        + float(gammaln((n - 1) / 2.0))
+        + math.lgamma((n - 1) / 2.0)
         + (n - 1) * math.log(4.0)
         + (n + 1) / 2.0 * math.log(math.pi)
     )
@@ -355,7 +354,7 @@ def peres_estimate(inp: EstimatorInputs) -> float:
     log_sigma = (
         (n - 1) / 2.0 * math.log(math.pi)
         + (n - 1) * log_r
-        - float(gammaln((n + 1) / 2.0))
+        - math.lgamma((n + 1) / 2.0)
     )
     return _safe_exp(-(0.5 * math.log(n) + math.log(nu_mean) + log_sigma))
 
@@ -378,7 +377,7 @@ def bhattacharyya_estimate(inp: EstimatorInputs) -> float:
     log_val = (
         -0.5 * math.log(n - 1)
         - math.log(nu_m1)
-        + float(gammaln(n / 2.0))
+        + math.lgamma(n / 2.0)
         + (n - 2) / 2.0 * math.log(8.0 * math.pi / (inp.epsilon * (n - 1)))
     )
     return _safe_exp(log_val)

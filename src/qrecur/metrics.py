@@ -15,8 +15,6 @@ import numpy as np
 from .errors import DimensionMismatch, EigenFailure
 from .states import DensityMatrix, Hamiltonian
 
-EIG_CLIP = 1e-12  # negative eigenvalues below this magnitude are noise
-
 
 @dataclass(frozen=True)
 class DistanceSample:
@@ -35,27 +33,35 @@ class DistanceSample:
             raise ValueError("bures inconsistent with fidelity")
 
 
-def sqrtm_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a PSD matrix via eigendecomposition."""
+def gram_factor(m: np.ndarray) -> np.ndarray:
+    """W with m = W W^dag over the support of the PSD matrix m.
+
+    The support is the eigenvalues above n * eps_mach * lambda_max; the
+    ones below it are round-off, and dropping them (rather than clipping
+    and square-rooting them) keeps their ~sqrt(eps) noise out of every
+    fidelity. W is n x r, its columns the support eigenvectors scaled by
+    the square roots of their eigenvalues.
+    """
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    keep = vals > m.shape[0] * np.finfo(float).eps * vals[-1]
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1]."""
+    """Uhlmann fidelity ||W_rho^dag W_sigma||_1 for Gram factors
+    rho = W_rho W_rho^dag and sigma = W_sigma W_sigma^dag, which equals
+    tr sqrt(sqrt(rho) sigma sqrt(rho)); clamped to [0, 1]."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"{rho.dim} != {sigma.dim}")
-    a = sqrtm_psd(rho.matrix)
+    overlap = gram_factor(rho.matrix).conj().T @ gram_factor(sigma.matrix)
     try:
-        vals = np.linalg.eigvalsh(a @ sigma.matrix @ a)
+        sv = np.linalg.svd(overlap, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from None
-    f = float(np.sqrt(np.clip(vals, 0.0, None)).sum())
-    return min(max(f, 0.0), 1.0)
+    return min(max(float(sv.sum()), 0.0), 1.0)
 
 
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -1,10 +1,12 @@
 """Empirical recurrence-time measurement on a time grid.
 
-The fidelity series F(rho0, rho(t)) is evaluated in vectorized chunks:
-rho(t) is the elementwise phase rotation of rho0, and the fidelity of
-each sample needs one batched Hermitian eigenvalue solve of
-sqrt(rho0) rho(t) sqrt(rho0). The operational definition, recorded in
-every report, is: t_departure is the first grid time with F below the
+All grid scans run through one engine, `scan`. It evaluates the fidelity
+F(rho0, rho(t)) in chunks of CHUNK_START samples that double up to a cap
+set by the byte budget CHUNK_BYTES, so a scan that ends early pays for
+few samples and no chunk outgrows the budget. Per sample the kernel
+needs n phases and one r x r nuclear norm, with r the rank of rho0 (see
+`fidelity_series`). The operational definition, recorded in every
+report, is: t_departure is the first grid time with F below the
 threshold, t_rec the first grid time after t_departure with F back at
 or above it.
 """
@@ -12,14 +14,21 @@ or above it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import BoundReport
 from .errors import BadParameter, GridTooCoarse
-from .evolution import EvolutionKernel, grid_times, make_kernel
-from .metrics import DistanceSample, sqrtm_psd
+from .evolution import (
+    CHUNK_BYTES,
+    EvolutionKernel,
+    evolve,
+    is_stationary,
+    make_kernel,
+)
+from .metrics import DistanceSample
 from .states import DensityMatrix, Hamiltonian
 from .torus import (
     FlatTorus,
@@ -28,7 +37,7 @@ from .torus import (
     torus_phase_at,
 )
 
-CHUNK = 32768
+CHUNK_START = 256  # samples in a scan's first chunk; later chunks double
 
 
 @dataclass(frozen=True)
@@ -41,8 +50,10 @@ class Grid:
         if not (np.isfinite(self.t0) and self.dt > 0 and self.steps >= 1):
             raise BadParameter("need finite t0, dt > 0 and steps >= 1")
 
-    def times(self) -> np.ndarray:
-        return grid_times(self.t0, self.dt, self.steps)
+    def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Times of the samples lo..hi-1 (default: all of them)."""
+        hi = self.steps if hi is None else hi
+        return self.t0 + self.dt * np.arange(lo, hi, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,8 @@ class RecurrenceResult:
     t_departure: float | None
     t_rec: float | None
     grid: Grid
-    stationary: bool
+    stationary: bool  # rho0 commutes with H
+    no_departure_within_horizon: bool
     refined: bool
     samples: tuple[DistanceSample, ...] = ()
     bracket_check: dict = field(default_factory=dict)
@@ -63,6 +75,7 @@ class RecurrenceResult:
             "t_rec": self.t_rec,
             "grid": {"t0": self.grid.t0, "dt": self.grid.dt, "steps": self.grid.steps},
             "stationary": self.stationary,
+            "no_departure_within_horizon": self.no_departure_within_horizon,
             "refined": self.refined,
             "definition": "first grid time after the first departure below threshold",
             "bracket_check": dict(self.bracket_check),
@@ -85,44 +98,86 @@ def default_dt(H: Hamiltonian) -> float:
     return math.pi * H.hbar / (4.0 * spread)
 
 
+def sample_bytes(n: int, r: int) -> int:
+    """Peak temporary bytes per sample of the fidelity kernel: two complex
+    arrays of n phases and two of r^2 products."""
+    return 32 * (n + r * r)
+
+
+def chunk_cap(n: int, r: int) -> int:
+    """Most samples one chunk may hold within CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // sample_bytes(n, r))
+
+
+def chunk_bounds(stop: int, cap: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """(lo, hi) blocks covering start..stop-1: CHUNK_START samples first,
+    then doubling, never more than cap."""
+    size = min(CHUNK_START, cap)
+    while start < stop:
+        hi = min(start + size, stop)
+        yield start, hi
+        start, size = hi, min(2 * size, cap)
+
+
 def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
-    """F(rho0, rho(t)) for every t, vectorized over samples."""
-    a = sqrtm_psd(kernel.rho0.matrix)
-    rho0 = kernel.rho0.matrix
-    omega = kernel.omega
+    """F(rho0, rho(t)) for every t, vectorized over samples.
+
+    With rho0 = W W^dag, F(t) = ||W^dag U(t) W||_1 (Uhlmann). The r x r
+    matrix M(t) = W^dag U(t) W is the phase row exp(-i E t/hbar) times
+    kernel.gram, and F is the sum of its singular values; for a pure
+    state that is |sum_k p_k exp(-i E_k t/hbar)|. Each sample is computed
+    on its own, so values do not depend on how the times are split.
+    """
+    r = kernel.rank
     out = np.empty(times.size, dtype=float)
-    for lo in range(0, times.size, CHUNK):
-        ts = times[lo : lo + CHUNK]
-        rho_t = rho0[None, :, :] * np.exp(1j * omega[None, :, :] * ts[:, None, None])
-        inner = a @ rho_t @ a
-        vals = np.linalg.eigvalsh(inner)
-        out[lo : lo + ts.size] = np.sqrt(np.clip(vals, 0.0, None)).sum(axis=1)
+    step = chunk_cap(kernel.dim, r)
+    for lo in range(0, times.size, step):
+        ts = times[lo : lo + step]
+        # one 1 x n row per sample: a plain (T x n) @ (n x r^2) product
+        # would let BLAS round a row differently with T
+        m = (kernel.phases(ts)[:, None, :] @ kernel.gram)[:, 0, :]
+        if r == 1:
+            out[lo : lo + ts.size] = np.abs(m[:, 0])
+        else:
+            sv = np.linalg.svd(m.reshape(-1, r, r), compute_uv=False)
+            out[lo : lo + ts.size] = sv.sum(axis=1)
     return np.clip(out, 0.0, 1.0)
 
 
+def scan(
+    kernel: EvolutionKernel, grid: Grid, start: int = 0
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (lo, times, F) over grid samples start..steps-1 in growing
+    chunks (see chunk_bounds); lo is the grid index of times[0]. Stop
+    iterating to stop the scan."""
+    cap = chunk_cap(kernel.dim, kernel.rank)
+    for lo, hi in chunk_bounds(grid.steps, cap, start):
+        ts = grid.times(lo, hi)
+        yield lo, ts, fidelity_series(kernel, ts)
+
+
 def _first_crossing(
-    kernel: EvolutionKernel, grid: Grid, threshold: float
+    kernel: EvolutionKernel,
+    grid: Grid,
+    threshold: float,
+    on_chunk: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[int | None, int | None]:
-    """Indices of the first departure and the first return, scanning in
-    chunks so long horizons stop early."""
+    """Indices of the first departure below threshold and the first return
+    to it. on_chunk(times, F), if given, sees every chunk scanned."""
     dep = None
-    times = grid.times()
-    for lo in range(0, grid.steps, CHUNK):
-        f = fidelity_series(kernel, times[lo : lo + CHUNK])
+    for lo, ts, f in scan(kernel, grid):
+        if on_chunk is not None:
+            on_chunk(ts, f)
         if dep is None:
             below = np.flatnonzero(f < threshold)
-            if below.size:
-                dep = lo + int(below[0])
-                f = f[below[0] :]
-                offset = dep
-            else:
+            if below.size == 0:
                 continue
-        else:
-            offset = lo
-        above = np.flatnonzero(f >= threshold)
+            dep = lo + int(below[0])
         # the departure sample itself is below threshold, so any hit is after it
+        first = max(dep, lo)
+        above = np.flatnonzero(f[first - lo :] >= threshold)
         if above.size:
-            return dep, offset + int(above[0])
+            return dep, first + int(above[0])
     return dep, None
 
 
@@ -200,7 +255,8 @@ def find_recurrence(
         t_departure=t_dep,
         t_rec=t_rec,
         grid=grid,
-        stationary=dep_idx is None,
+        stationary=is_stationary(H, rho0),
+        no_departure_within_horizon=dep_idx is None,
         refined=refine,
         samples=samples,
         bracket_check=bracket,
@@ -221,7 +277,7 @@ def collect_samples(
     out = []
     rho0m = rho0.matrix
     for i, t in enumerate(times):
-        diff = rho0m * np.exp(1j * kernel.omega * t) - rho0m
+        diff = evolve(kernel, t).matrix - rho0m
         out.append(
             DistanceSample(
                 t=float(t),
@@ -251,13 +307,12 @@ def stroboscopic_recurrence(
     jmax, _ = dimension_bound(rho0.dim, epsilon)
     cap = jmax_cap if math.isinf(jmax) else min(jmax_cap, math.ceil(jmax))
     kernel = make_kernel(H, rho0)
-    for lo in range(1, cap + 1, CHUNK):
-        js = np.arange(lo, min(lo + CHUNK, cap + 1))
-        f = fidelity_series(kernel, js * t)
+    # grid index j is the step count: sample j sits at 0 + t*j = j*t
+    for lo, _, f in scan(kernel, Grid(0.0, t, cap + 1), start=1):
         hits = np.flatnonzero(f >= epsilon)
         if hits.size:
             return StroboscopicResult(
-                j_found=int(js[hits[0]]),
+                j_found=lo + int(hits[0]),
                 jmax_theory=jmax,
                 cap=cap,
                 cap_exceeded=False,

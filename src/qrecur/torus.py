@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bounds import sin_power_integral
+from .evolution import CHUNK_BYTES
 from .errors import (
     BadDomain,
     BallEmpty,
@@ -113,7 +113,7 @@ def sphere_ball_volume(n: int, r: float) -> float:
     if not (0.0 <= r <= math.pi + 1e-15):
         raise BadDomain(f"r = {r} outside [0, pi]")
     prefactor = math.exp(
-        math.log(2.0) + n / 2.0 * math.log(math.pi) - float(gammaln(n / 2.0))
+        math.log(2.0) + n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0)
     )
     return prefactor * sin_power_integral(n - 1, min(r, math.pi))
 
@@ -133,7 +133,7 @@ def tube_volume(n: int, theta: float, length: float) -> float:
         math.log(2.0)
         + (n - 1) / 2.0 * math.log(math.pi)
         - math.log(n - 1)
-        - float(gammaln((n - 1) / 2.0))
+        - math.lgamma((n - 1) / 2.0)
         + (n - 1) * math.log(theta)
         + math.log(length)
     )
@@ -165,10 +165,14 @@ class FiniteMetricSpace:
             raise BadDomain("distance matrix has nonzero diagonal")
         if np.any(d < -METRIC_TOL):
             raise BadDomain("negative distances")
-        # triangle inequality: d[i, j] <= d[i, k] + d[k, j] for all k
-        via = (d[:, :, None] + d[None, :, :]).min(axis=1)
-        if np.any(d > via + METRIC_TOL):
-            raise BadDomain("triangle inequality violated")
+        # triangle inequality: d[i, j] <= d[i, k] + d[k, j] for all k, in
+        # slabs of middle indices k whose m x slab x m sums fit CHUNK_BYTES
+        slab = max(1, CHUNK_BYTES // (8 * m * m))
+        for lo in range(0, m, slab):
+            ks = slice(lo, lo + slab)
+            via = (d[:, ks, None] + d[None, ks, :]).min(axis=1)
+            if np.any(d > via + METRIC_TOL):
+                raise BadDomain("triangle inequality violated")
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "measure", mu)
         d.setflags(write=False)

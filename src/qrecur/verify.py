@@ -15,8 +15,10 @@ import numpy as np
 
 from . import bounds, metrics, search, states, torus
 from .errors import PreconditionViolated, StationaryState
-from .evolution import make_kernel
-from .search import Grid, default_dt, fidelity_series
+from .evolution import evolve, make_kernel
+# fidelity_series stays importable from this module: benchmarks/tracing.py
+# wraps the name here as well as in search
+from .search import Grid, default_dt, fidelity_series  # noqa: F401
 from .torus import (
     FiniteMetricSpace,
     metric_recurrence_oracle,
@@ -25,8 +27,6 @@ from .torus import (
     torus_phase_at,
 )
 from .truncation import delta_time_invariance_check, truncate
-
-CHUNK = 32768
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,36 @@ def _submersion_excess_hp(
     return worst
 
 
+class _SubmersionCheck:
+    """Per-chunk step of a fidelity scan: tracks the largest excess of the
+    Bures distance over the torus distance (the submersion inequality
+    says it is <= 0).
+
+    float64 fidelity noise inflates near-zero Bures distances by
+    ~sqrt(eps), so samples that look like violations are re-checked with
+    the fidelity recomputed at 40 digits.
+    """
+
+    def __init__(self, H, rho0, lam: float):
+        self.H, self.rho0, self.lam = H, rho0, lam
+        self.torus = torus_from_state(rho0)
+        self.excess = -math.inf
+        self._sqrt_rho_hp = None
+
+    def __call__(self, times: np.ndarray, f: np.ndarray) -> None:
+        bures = np.sqrt(np.clip(2.0 - 2.0 * f, 0.0, None))
+        tdist = torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
+        flagged = np.flatnonzero(bures > tdist + 1e-9)
+        if flagged.size == 0:
+            return
+        if self._sqrt_rho_hp is None:
+            self._sqrt_rho_hp = _sqrt_rho_mp(self.rho0.matrix)
+        worst = _submersion_excess_hp(
+            self._sqrt_rho_hp, self.H.energies, self.H.hbar, times[flagged], tdist[flagged]
+        )
+        self.excess = max(self.excess, worst)
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -181,48 +211,18 @@ def bracket_ensemble_suite(
             continue
         checked += 1
         kernel = make_kernel(H, rho0)
-        tor = torus_from_state(rho0)
-        lam = report.lambda_shift
-        times = Grid(0.0, dt, steps).times()
-        sqrt_rho_hp = None
-        dep_idx = rec_idx = None
-        for lo in range(0, steps, CHUNK):
-            ts = times[lo : lo + CHUNK]
-            f = fidelity_series(kernel, ts)
-            bures = np.sqrt(np.clip(2.0 - 2.0 * f, 0.0, None))
-            tdist = torus_distance_series(tor, torus_phase_at(H, lam, ts))
-            # float64 fidelity noise inflates near-zero Bures distances by
-            # ~sqrt(eps); re-check flagged samples in high precision
-            flagged = np.flatnonzero(bures > tdist + 1e-9)
-            if flagged.size:
-                if sqrt_rho_hp is None:
-                    sqrt_rho_hp = _sqrt_rho_mp(rho0.matrix)
-                submersion_excess = max(
-                    submersion_excess,
-                    _submersion_excess_hp(
-                        sqrt_rho_hp, H.energies, H.hbar, ts[flagged], tdist[flagged]
-                    ),
-                )
-            if dep_idx is None:
-                below = np.flatnonzero(f < threshold)
-                if below.size == 0:
-                    continue
-                dep_idx = lo + int(below[0])
-                f = f[below[0] :]
-                offset = dep_idx
-            else:
-                offset = lo
-            above = np.flatnonzero(f >= threshold)
-            if above.size:
-                rec_idx = offset + int(above[0])
-                break
+        submersion = _SubmersionCheck(H, rho0, report.lambda_shift)
+        dep_idx, rec_idx = search._first_crossing(
+            kernel, Grid(0.0, dt, steps), threshold, on_chunk=submersion
+        )
+        submersion_excess = max(submersion_excess, submersion.excess)
         if dep_idx is None:
             no_departure += 1
             continue
         if rec_idx is None:
             violations.append({"instance": i, "kind": "no_return_within_upper"})
             continue
-        t_rec = float(times[rec_idx])
+        t_rec = dt * rec_idx
         recurrences.append((i, t_rec))
         if not (report.lower_mt - dt <= t_rec <= report.upper_product + dt):
             violations.append(
@@ -234,9 +234,7 @@ def bracket_ensemble_suite(
                     "upper": report.upper_product,
                 }
             )
-        rho_t = states.DensityMatrix(
-            rho0.matrix * np.exp(1j * kernel.omega * t_rec)
-        )
+        rho_t = evolve(kernel, t_rec)
         tnorm = metrics.trace_distance_norm(rho_t, rho0)
         if tnorm**2 > 2.0 * eps**2 * (1.0 - eps**2 / 8.0) + 1e-6:
             fvg_ceiling_ok = False
@@ -336,8 +334,7 @@ def truncation_suite(
         )
         if res.t_rec is None:
             continue
-        kernel = make_kernel(H, rho0)
-        rho_t = rho0.matrix * np.exp(1j * kernel.omega * res.t_rec)
+        rho_t = evolve(make_kernel(H, rho0), res.t_rec).matrix
         measured_hs = float(np.linalg.norm(rho_t - rho0.matrix))
         ceiling = 2.0 * math.sqrt(trunc.delta_N) + math.sqrt(
             2.0

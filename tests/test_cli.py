@@ -155,7 +155,24 @@ class TestSearch:
         )
         assert code == 0
         assert out["stationary"] is True
+        assert out["no_departure_within_horizon"] is True
         assert out["t_rec"] is None
+
+    def test_short_horizon_is_not_stationary(self, tmp_path, capsys):
+        # a moving qubit (dE = 0.5) scanned over less than one grid step
+        path = tmp_path / "qubit.json"
+        s = 1.0 / math.sqrt(2.0)
+        path.write_text(
+            json.dumps({"energies": [0.0, 1.0], "state": {"pure": [[s, 0.0], [s, 0.0]]}})
+        )
+        code, out = run_json(
+            ["search", "--input", str(path), "--threshold", "0.999", "--horizon", "0.1"],
+            capsys,
+        )
+        assert code == 0
+        assert out["stationary"] is False
+        assert out["no_departure_within_horizon"] is True
+        assert out["t_departure"] is None
 
     def test_coarse_grid_exit_code(self, qubit_json, capsys):
         code, out = run_json(

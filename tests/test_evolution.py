@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_state, random_system
 from qrecur import Hamiltonian, evolve, evolve_grid, make_kernel, validate_density
+from qrecur.evolution import is_stationary
 from qrecur.errors import BadParameter, DimensionMismatch
 
 
@@ -43,6 +44,18 @@ def test_diagonal_state_is_stationary():
     rho0 = validate_density(np.diag([0.2, 0.3, 0.5]).astype(complex))
     k = make_kernel(Hamiltonian(np.array([0.0, 0.4, 1.1])), rho0)
     assert np.allclose(evolve(k, 17.3).matrix, rho0.matrix, atol=1e-14)
+
+
+def test_stationary_means_commuting_with_H():
+    H = Hamiltonian(np.array([0.0, 0.0, 1.0]))
+    diagonal = validate_density(np.diag([0.2, 0.3, 0.5]).astype(complex))
+    assert is_stationary(H, diagonal)
+    # a coherence inside the degenerate level does not move
+    degenerate = validate_density(np.array([[0.4, 0.2, 0], [0.2, 0.4, 0], [0, 0, 0.2]]))
+    assert is_stationary(H, degenerate)
+    assert np.allclose(evolve(make_kernel(H, degenerate), 3.7).matrix, degenerate.matrix)
+    moving = validate_density(np.array([[0.4, 0, 0.2], [0, 0.4, 0], [0.2, 0, 0.2]]))
+    assert not is_stationary(H, moving)
 
 
 def test_qubit_half_period_flips_coherence(qubit_superposition):

@@ -22,7 +22,7 @@ from qrecur import (
     validate_density,
 )
 from qrecur.errors import DimensionMismatch
-from qrecur.metrics import sqrtm_psd
+from qrecur.metrics import gram_factor
 
 
 def basis(i):
@@ -149,8 +149,11 @@ class TestDistanceSample:
         assert s.torus_dist is None
 
 
-def test_sqrtm_psd_squares_back():
+def test_gram_factor_multiplies_back():
     rho = random_state(4, 8)
-    a = sqrtm_psd(rho.matrix)
-    assert np.allclose(a @ a, rho.matrix, atol=1e-12)
-    assert np.abs(a - a.conj().T).max() <= 1e-12
+    w = gram_factor(rho.matrix)
+    assert w.shape == (4, 4)
+    assert np.allclose(w @ w.conj().T, rho.matrix, atol=1e-12)
+    # round-off eigenvalues of a projector are outside the support
+    pure = pure_state(np.array([0.6, 0.8j, 0.0]))
+    assert gram_factor(pure.matrix).shape == (3, 1)

@@ -97,7 +97,15 @@ class TestFindRecurrence:
         rho0 = validate_density(np.diag([0.6, 0.4]).astype(complex))
         res = find_recurrence(H, rho0, 0.999, Grid(0.0, default_dt(H), 1000))
         assert res.stationary
+        assert res.no_departure_within_horizon
         assert res.t_departure is None and res.t_rec is None
+        assert res.to_dict()["no_departure_within_horizon"] is True
+
+    def test_horizon_without_departure_is_not_stationary(self):
+        H, rho0 = qubit()
+        res = find_recurrence(H, rho0, 0.999, Grid(0.0, default_dt(H), 1))
+        assert res.no_departure_within_horizon
+        assert not res.stationary
 
     def test_commensurate_three_level(self):
         H = Hamiltonian(np.array([0.0, 1.0, 2.0]))

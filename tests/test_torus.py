@@ -31,6 +31,7 @@ from qrecur.errors import (
     NotMeasurePreserving,
     ZeroPopulation,
 )
+from qrecur import torus as torus_module
 from qrecur.torus import torus_distance_series
 
 
@@ -200,6 +201,18 @@ class TestFiniteMetricSpace:
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(BadDomain):
             FiniteMetricSpace(points=(0, 1, 2), dist=d, measure=np.ones(3))
+
+    @pytest.mark.parametrize("budget", [8 * 40 * 40, 8 * 40 * 40 * 7, 2**30])
+    def test_triangle_check_in_slabs(self, monkeypatch, budget):
+        # slabs of 1 and 7 middle points, and all 40 at once, agree
+        monkeypatch.setattr(torus_module, "CHUNK_BYTES", budget)
+        idx = np.arange(40)
+        hops = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        FiniteMetricSpace(points=tuple(range(40)), dist=hops, measure=np.ones(40))
+        bad = hops.copy()
+        bad[0, 39] = bad[39, 0] = 39.5  # only k in 1..38 exposes it
+        with pytest.raises(BadDomain):
+            FiniteMetricSpace(points=tuple(range(40)), dist=bad, measure=np.ones(40))
 
     def test_from_dict(self):
         s = FiniteMetricSpace.from_dict(
