@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from . import bounds, verify
-from .errors import QrecurError
+from . import bounds, search, verify
+from .errors import BadParameter, QrecurError
 from .search import Grid, default_dt, find_recurrence, stroboscopic_recurrence
 from .states import system_from_dict
 from .torus import (
@@ -79,10 +79,17 @@ def _resolve_grid(args, H, report) -> Grid:
     dt = default_dt(H) if args.dt == "auto" else float(args.dt)
     if args.horizon == "auto":
         horizon = report.upper_product + 2.0 * dt if report else MAX_AUTO_SAMPLES * dt
-        steps = min(MAX_AUTO_SAMPLES, math.ceil(horizon / dt))
     else:
-        steps = math.ceil(float(args.horizon) / dt)
-    return Grid(args.t0, dt, max(1, steps))
+        horizon = float(args.horizon)
+    if not (0.0 < dt < math.inf and 0.0 < horizon / dt < math.inf):
+        raise BadParameter(
+            "need a finite --dt > 0 and a --horizon > 0 of finitely many steps, "
+            f"got --dt {args.dt} --horizon {args.horizon}"
+        )
+    steps = math.ceil(horizon / dt)
+    if args.horizon == "auto":
+        steps = min(MAX_AUTO_SAMPLES, steps)
+    return Grid(args.t0, dt, steps)
 
 
 def _cmd_search(args) -> int:
@@ -94,7 +101,11 @@ def _cmd_search(args) -> int:
     except QrecurError:
         pass  # bounds unavailable (stationary / precondition); search still runs
     grid = _resolve_grid(args, H, report)
-    want_csv = bool(args.csv)
+    if args.csv and grid.steps > MAX_CSV_SAMPLES:
+        raise BadParameter(
+            f"--csv writes one row per grid sample: {grid.steps} samples exceed "
+            f"the limit of MAX_CSV_SAMPLES = {MAX_CSV_SAMPLES}"
+        )
     result = find_recurrence(
         H,
         rho0,
@@ -103,7 +114,6 @@ def _cmd_search(args) -> int:
         allow_coarse=args.allow_coarse,
         refine=args.refine,
         report=report,
-        record_samples=want_csv and grid.steps <= MAX_CSV_SAMPLES,
     )
     out = result.to_dict()
     out["epsilon"] = eps
@@ -113,8 +123,8 @@ def _cmd_search(args) -> int:
     if report is not None:
         out["bounds"] = report.to_dict()
     _dump_json(out, args.output)
-    if want_csv:
-        _write_csv(args.csv, result.samples)
+    if args.csv:
+        _write_csv(args.csv, search.collect_samples(H, rho0, grid.times()))
     return 0
 
 

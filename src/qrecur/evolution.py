@@ -43,11 +43,6 @@ class EvolutionKernel:
         return self.rho0.dim
 
     @property
-    def omega(self) -> np.ndarray:
-        """Bohr-frequency table omega[k, k'] = (E_k' - E_k)/hbar."""
-        return self.levels[None, :] - self.levels[:, None]
-
-    @property
     def max_frequency(self) -> float:
         return float(self.levels.max() - self.levels.min())
 
@@ -82,24 +77,8 @@ def is_stationary(H: Hamiltonian, rho0: DensityMatrix) -> bool:
 
 
 def evolve(kernel: EvolutionKernel, t: float) -> DensityMatrix:
-    """rho(t) with entries rho0[k, k'] * exp(i omega[k, k'] t)."""
+    """rho(t) with entries rho0[k, k'] * exp(i (E_k' - E_k) t / hbar)."""
     if not np.isfinite(t):
         raise BadParameter("t must be finite")
     u = kernel.phases(float(t))
     return DensityMatrix(kernel.rho0.matrix * np.outer(u, u.conj()))
-
-
-def evolve_grid(
-    kernel: EvolutionKernel, t0: float, dt: float, steps: int
-) -> list[DensityMatrix]:
-    """Snapshots at t0 + j*dt for j = 0..steps-1."""
-    if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
-        raise BadParameter("need finite t0 and dt > 0")
-    if steps < 1:
-        raise BadParameter("need steps >= 1")
-    return [evolve(kernel, t) for t in grid_times(t0, dt, steps)]
-
-
-def grid_times(t0: float, dt: float, steps: int) -> np.ndarray:
-    """Absolute sample times for a (t0, dt, steps) grid."""
-    return t0 + dt * np.arange(steps, dtype=float)

@@ -5,16 +5,19 @@ F(rho0, rho(t)) in chunks of CHUNK_START samples that double up to a cap
 set by the byte budget CHUNK_BYTES, so a scan that ends early pays for
 few samples and no chunk outgrows the budget. Per sample the kernel
 needs n phases and one r x r nuclear norm, with r the rank of rho0 (see
-`fidelity_series`). The operational definition, recorded in every
-report, is: t_departure is the first grid time with F below the
-threshold, t_rec the first grid time after t_departure with F back at
-or above it.
+`fidelity_series`). The torus surrogate walks the same chunks with the
+torus distance in place of F.
+
+One rule, `_first_crossing`, reads every departure and return. The
+operational definition, recorded in every report, is: t_departure is
+the first grid time with F below the threshold, t_rec the first grid
+time after t_departure with F back at or above it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,6 @@ from .evolution import (
 from .metrics import DistanceSample
 from .states import DensityMatrix, Hamiltonian
 from .torus import (
-    FlatTorus,
     torus_distance_series,
     torus_from_state,
     torus_phase_at,
@@ -65,7 +67,6 @@ class RecurrenceResult:
     stationary: bool  # rho0 commutes with H
     no_departure_within_horizon: bool
     refined: bool
-    samples: tuple[DistanceSample, ...] = ()
     bracket_check: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -104,9 +105,10 @@ def sample_bytes(n: int, r: int) -> int:
     return 32 * (n + r * r)
 
 
-def chunk_cap(n: int, r: int) -> int:
-    """Most samples one chunk may hold within CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // sample_bytes(n, r))
+def chunk_cap(per_sample: int) -> int:
+    """Most samples one chunk may hold within CHUNK_BYTES, at per_sample
+    temporary bytes each."""
+    return max(1, CHUNK_BYTES // per_sample)
 
 
 def chunk_bounds(stop: int, cap: int, start: int = 0) -> Iterator[tuple[int, int]]:
@@ -130,7 +132,7 @@ def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
     """
     r = kernel.rank
     out = np.empty(times.size, dtype=float)
-    step = chunk_cap(kernel.dim, r)
+    step = chunk_cap(sample_bytes(kernel.dim, r))
     for lo in range(0, times.size, step):
         ts = times[lo : lo + step]
         # one 1 x n row per sample: a plain (T x n) @ (n x r^2) product
@@ -144,40 +146,45 @@ def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+def _chunks(
+    grid: Grid, cap: int, series: Callable[[np.ndarray], np.ndarray], start: int = 0
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (lo, times, series(times)) over grid samples start..steps-1
+    in the blocks of chunk_bounds; lo is the grid index of times[0]."""
+    for lo, hi in chunk_bounds(grid.steps, cap, start):
+        ts = grid.times(lo, hi)
+        yield lo, ts, series(ts)
+
+
 def scan(
     kernel: EvolutionKernel, grid: Grid, start: int = 0
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (lo, times, F) over grid samples start..steps-1 in growing
-    chunks (see chunk_bounds); lo is the grid index of times[0]. Stop
-    iterating to stop the scan."""
-    cap = chunk_cap(kernel.dim, kernel.rank)
-    for lo, hi in chunk_bounds(grid.steps, cap, start):
-        ts = grid.times(lo, hi)
-        yield lo, ts, fidelity_series(kernel, ts)
+    chunks (see chunk_bounds). Stop iterating to stop the scan."""
+    cap = chunk_cap(sample_bytes(kernel.dim, kernel.rank))
+    return _chunks(grid, cap, lambda ts: fidelity_series(kernel, ts), start)
 
 
 def _first_crossing(
-    kernel: EvolutionKernel,
-    grid: Grid,
-    threshold: float,
-    on_chunk: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    chunks: Iterable[tuple[int, np.ndarray, np.ndarray]],
+    inside: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[int | None, int | None]:
-    """Indices of the first departure below threshold and the first return
-    to it. on_chunk(times, F), if given, sees every chunk scanned."""
+    """Grid indices of the first departure (first sample not inside) and
+    of the first return after it (first later sample inside), read from
+    (lo, times, values) chunks; stops consuming chunks at the return."""
     dep = None
-    for lo, ts, f in scan(kernel, grid):
-        if on_chunk is not None:
-            on_chunk(ts, f)
+    for lo, _, values in chunks:
+        ok = inside(values)
         if dep is None:
-            below = np.flatnonzero(f < threshold)
-            if below.size == 0:
+            away = np.flatnonzero(~ok)
+            if away.size == 0:
                 continue
-            dep = lo + int(below[0])
-        # the departure sample itself is below threshold, so any hit is after it
+            dep = lo + int(away[0])
+        # the departure sample itself is outside, so any hit is after it
         first = max(dep, lo)
-        above = np.flatnonzero(f[first - lo :] >= threshold)
-        if above.size:
-            return dep, first + int(above[0])
+        back = np.flatnonzero(ok[first - lo :])
+        if back.size:
+            return dep, first + int(back[0])
     return dep, None
 
 
@@ -210,7 +217,6 @@ def find_recurrence(
     allow_coarse: bool = False,
     refine: bool = False,
     report: BoundReport | None = None,
-    record_samples: bool = False,
 ) -> RecurrenceResult:
     """Scan the grid for the first departure below and return above threshold.
 
@@ -225,7 +231,7 @@ def find_recurrence(
     if grid.dt > limit * (1.0 + 1e-12) and not allow_coarse:
         raise GridTooCoarse(f"dt = {grid.dt} exceeds the default limit {limit}")
     kernel = make_kernel(H, rho0)
-    dep_idx, rec_idx = _first_crossing(kernel, grid, threshold)
+    dep_idx, rec_idx = _first_crossing(scan(kernel, grid), lambda f: f >= threshold)
     t_dep = t_rec = None
     if dep_idx is not None:
         t_dep = grid.t0 + grid.dt * dep_idx
@@ -247,9 +253,6 @@ def find_recurrence(
             "lower_ok": report.lower_mt - grid.dt <= t_rec,
             "upper_ok": t_rec <= report.upper_product + grid.dt,
         }
-    samples = ()
-    if record_samples:
-        samples = tuple(collect_samples(H, rho0, grid.times()))
     return RecurrenceResult(
         threshold=threshold,
         t_departure=t_dep,
@@ -258,7 +261,6 @@ def find_recurrence(
         stationary=is_stationary(H, rho0),
         no_departure_within_horizon=dep_idx is None,
         refined=refine,
-        samples=samples,
         bracket_check=bracket,
     )
 
@@ -330,23 +332,26 @@ def torus_surrogate_scan(
 
     Returns (t, bures_ok): by the submersion inequality, the Bures
     distance at the returned time is <= r as well; bures_ok records the
-    explicit check.
+    explicit check. The distances are scanned in the chunk schedule of
+    the fidelity scan; at its peak a sample holds up to five float rows
+    of n angles (40 n bytes).
     """
     if not r > 0:
         raise BadParameter("need r > 0")
     torus = torus_from_state(rho0)
     lam = float(H.energies @ rho0.populations)
-    times = grid.times()
-    dist = torus_distance_series(torus, torus_phase_at(H, lam, times))
-    away = np.flatnonzero(dist > r)
-    if away.size == 0:
+    chunks = _chunks(
+        grid,
+        chunk_cap(40 * torus.dim),
+        lambda ts: torus_distance_series(torus, torus_phase_at(H, lam, ts)),
+    )
+    dep, rec = _first_crossing(chunks, lambda d: d <= r)
+    if dep is None:
         # never leaves the ball: the very first sample is a recurrence witness
-        return float(times[0]), True
-    back = np.flatnonzero(dist[away[0] :] <= r)
-    if back.size == 0:
+        return float(grid.times(0, 1)[0]), True
+    if rec is None:
         return None, True
-    idx = int(away[0] + back[0])
-    kernel = make_kernel(H, rho0)
-    f = float(fidelity_series(kernel, times[idx : idx + 1])[0])
+    t = grid.times(rec, rec + 1)
+    f = float(fidelity_series(make_kernel(H, rho0), t)[0])
     bures = math.sqrt(max(0.0, 2.0 - 2.0 * f))
-    return float(times[idx]), bures <= r + 1e-9
+    return float(t[0]), bures <= r + 1e-9

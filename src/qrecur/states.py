@@ -163,8 +163,11 @@ def model_hamiltonian(kind: str, hbar: float = 1.0, **params) -> Hamiltonian:
     return builder(hbar=hbar, **params)
 
 
-def random_density(n: int, seed: int) -> DensityMatrix:
-    """Full-rank random state GG^dag / tr(GG^dag), G complex Gaussian."""
+def random_density(n: int, seed) -> DensityMatrix:
+    """Full-rank random state GG^dag / tr(GG^dag), G complex Gaussian.
+
+    seed is anything np.random.default_rng accepts; a Generator is used
+    as is, so the draw continues its stream."""
     if n < 1:
         raise BadParameter("need n >= 1")
     rng = np.random.default_rng(seed)

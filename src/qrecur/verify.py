@@ -113,7 +113,7 @@ def _submersion_excess_hp(
 
 
 class _SubmersionCheck:
-    """Per-chunk step of a fidelity scan: tracks the largest excess of the
+    """Per-chunk check on a fidelity scan: tracks the largest excess of the
     Bures distance over the torus distance (the submersion inequality
     says it is <= 0).
 
@@ -128,18 +128,21 @@ class _SubmersionCheck:
         self.excess = -math.inf
         self._sqrt_rho_hp = None
 
-    def __call__(self, times: np.ndarray, f: np.ndarray) -> None:
-        bures = np.sqrt(np.clip(2.0 - 2.0 * f, 0.0, None))
-        tdist = torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
-        flagged = np.flatnonzero(bures > tdist + 1e-9)
-        if flagged.size == 0:
-            return
-        if self._sqrt_rho_hp is None:
-            self._sqrt_rho_hp = _sqrt_rho_mp(self.rho0.matrix)
-        worst = _submersion_excess_hp(
-            self._sqrt_rho_hp, self.H.energies, self.H.hbar, times[flagged], tdist[flagged]
-        )
-        self.excess = max(self.excess, worst)
+    def watch(self, chunks):
+        """Pass (lo, times, F) chunks through, checking each on the way."""
+        for lo, times, f in chunks:
+            bures = np.sqrt(np.clip(2.0 - 2.0 * f, 0.0, None))
+            tdist = torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
+            flagged = np.flatnonzero(bures > tdist + 1e-9)
+            if flagged.size:
+                if self._sqrt_rho_hp is None:
+                    self._sqrt_rho_hp = _sqrt_rho_mp(self.rho0.matrix)
+                worst = _submersion_excess_hp(
+                    self._sqrt_rho_hp, self.H.energies, self.H.hbar,
+                    times[flagged], tdist[flagged],
+                )
+                self.excess = max(self.excess, worst)
+            yield lo, times, f
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +179,7 @@ def _random_instance(seed_pair):
     rng = np.random.default_rng(seed_pair)
     n = int(rng.integers(2, 6))
     H = states.Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=n)))
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = g @ g.conj().T
-    rho0 = states.validate_density(m / m.trace().real)
+    rho0 = states.random_density(n, rng)
     u = float(rng.uniform(0.45, 0.7))
     return H, rho0, u
 
@@ -213,7 +214,8 @@ def bracket_ensemble_suite(
         kernel = make_kernel(H, rho0)
         submersion = _SubmersionCheck(H, rho0, report.lambda_shift)
         dep_idx, rec_idx = search._first_crossing(
-            kernel, Grid(0.0, dt, steps), threshold, on_chunk=submersion
+            submersion.watch(search.scan(kernel, Grid(0.0, dt, steps))),
+            lambda f: f >= threshold,
         )
         submersion_excess = max(submersion_excess, submersion.excess)
         if dep_idx is None:
@@ -261,9 +263,7 @@ def strobe_suite(
     for i in range(count):
         rng = np.random.default_rng([seed, 7000 + i])
         H = states.Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=2)))
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = g @ g.conj().T
-        rho0 = states.validate_density(m / m.trace().real)
+        rho0 = states.random_density(2, rng)
         t = float(rng.uniform(0.1, 10.0))
         res = search.stroboscopic_recurrence(H, rho0, epsilon, t, jmax_cap=cap)
         if res.j_found is not None:
@@ -290,11 +290,7 @@ def fvg_suite(pairs: int = 500, seed: int = 42) -> dict:
     for i in range(pairs):
         rng = np.random.default_rng([seed, 9000 + i])
         n = int(rng.integers(2, 5))
-        pair = []
-        for _ in range(2):
-            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            m = g @ g.conj().T
-            pair.append(states.validate_density(m / m.trace().real))
+        pair = [states.random_density(n, rng) for _ in range(2)]
         lower_ok, upper_ok = metrics.fvg_check(*pair)
         if not (lower_ok and upper_ok):
             failures += 1
@@ -312,9 +308,7 @@ def truncation_suite(
     for i in range(systems):
         rng = np.random.default_rng([seed, 3000 + i])
         H = states.Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=n)))
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        m = g @ g.conj().T
-        rho0 = states.validate_density(m / m.trace().real)
+        rho0 = states.random_density(n, rng)
         times = rng.uniform(0.0, 100.0, size=n_times)
         worst_dev = max(worst_dev, delta_time_invariance_check(H, rho0, N, times))
 

@@ -118,6 +118,7 @@ class TestSearch:
         # repr round trip: the stored fidelity parses back to the exact float
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
+        assert first[5] != ""  # torus_dist: both populations are nonzero
 
     def test_csv_determinism(self, qubit_json, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -191,6 +192,40 @@ class TestSearch:
         )
         assert code == 1
         assert out["error"] == "GridTooCoarse"
+
+    def test_csv_over_the_row_limit_is_refused(self, qubit_json, tmp_path, capsys):
+        # 200000 / (pi/4) gives 254,648 grid samples, above MAX_CSV_SAMPLES
+        csv_path = tmp_path / "series.csv"
+        code, out = run_json(
+            [
+                "search",
+                "--input",
+                qubit_json,
+                "--threshold",
+                "0.999",
+                "--horizon",
+                "200000",
+                "--csv",
+                str(csv_path),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out["error"] == "BadParameter"
+        assert "254648" in out["message"] and "200000" in out["message"]
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--dt", "0"), ("--horizon", "inf"), ("--horizon", "-5")]
+    )
+    def test_bad_grid_values_are_refused(self, qubit_json, capsys, flag, value):
+        code, out = run_json(
+            ["search", "--input", qubit_json, "--threshold", "0.999", flag, value],
+            capsys,
+        )
+        assert code == 1
+        assert out["error"] == "BadParameter"
+        assert f"{flag} {value}" in out["message"]
 
 
 class TestStrobe:

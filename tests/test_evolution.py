@@ -6,27 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state, random_system
-from qrecur import Hamiltonian, evolve, evolve_grid, make_kernel, validate_density
+from qrecur import Grid, Hamiltonian, evolve, make_kernel, validate_density
 from qrecur.evolution import is_stationary
 from qrecur.errors import BadParameter, DimensionMismatch
 
 
+def _bohr_phases(rho0, energies, hbar, t):
+    """rho(t)[k, k'] = rho0[k, k'] * exp(i (E_k' - E_k) t / hbar)."""
+    omega = (energies[None, :] - energies[:, None]) / hbar
+    return rho0.matrix * np.exp(1j * omega * t)
+
+
 def test_kernel_omega_table():
     H = Hamiltonian(np.array([0.0, 1.0]))
-    k = make_kernel(H, random_state(2, 0))
-    assert np.allclose(k.omega, [[0.0, 1.0], [-1.0, 0.0]])
+    rho0 = random_state(2, 0)
+    rho_t = evolve(make_kernel(H, rho0), 0.7).matrix
+    assert rho_t[0, 1] == pytest.approx(rho0.matrix[0, 1] * np.exp(0.7j), abs=1e-15)
+    assert np.allclose(rho_t, _bohr_phases(rho0, H.energies, 1.0, 0.7), atol=1e-15)
 
 
 def test_kernel_degenerate_spectrum():
     H = Hamiltonian(np.array([0.0, 0.0]))
-    k = make_kernel(H, random_state(2, 0))
-    assert np.all(k.omega == 0.0)
+    rho0 = random_state(2, 0)
+    assert np.array_equal(evolve(make_kernel(H, rho0), 5.3).matrix, rho0.matrix)
 
 
 def test_kernel_hbar_scaling():
     H = Hamiltonian(np.array([1.0, 3.0, 6.0]), hbar=2.0)
-    k = make_kernel(H, random_state(3, 0))
-    assert k.omega[0, 2] == pytest.approx(2.5)
+    rho0 = random_state(3, 0)
+    rho_t = evolve(make_kernel(H, rho0), 1.3).matrix
+    # Bohr frequency (6 - 1)/2 = 2.5 between levels 0 and 2
+    assert rho_t[0, 2] == pytest.approx(rho0.matrix[0, 2] * np.exp(2.5j * 1.3), abs=1e-15)
+    assert np.allclose(rho_t, _bohr_phases(rho0, H.energies, 2.0, 1.3), atol=1e-15)
 
 
 def test_kernel_dimension_mismatch():
@@ -72,19 +83,13 @@ def test_evolve_rejects_nonfinite_time(qubit_superposition):
         evolve(make_kernel(H, rho0), math.inf)
 
 
-def test_grid_single_step(qubit_superposition):
-    H, rho0 = qubit_superposition
-    k = make_kernel(H, rho0)
-    (only,) = evolve_grid(k, 0.3, 1.0, 1)
-    assert np.allclose(only.matrix, evolve(k, 0.3).matrix)
-
-
 def test_grid_full_qubit_period(qubit_superposition):
     H, rho0 = qubit_superposition
     k = make_kernel(H, rho0)
     period = 2.0 * math.pi
-    snaps = evolve_grid(k, 0.0, period / 8.0, 9)
+    snaps = [evolve(k, t) for t in Grid(0.0, period / 8.0, 9).times()]
     assert np.allclose(snaps[-1].matrix, snaps[0].matrix, atol=1e-10)
+    assert not np.allclose(snaps[4].matrix, snaps[0].matrix, atol=1e-3)
 
 
 def test_commensurate_three_level_period():
@@ -92,15 +97,6 @@ def test_commensurate_three_level_period():
     rho0 = random_state(3, 4)
     k = make_kernel(H, rho0)
     assert np.allclose(evolve(k, 2.0 * math.pi).matrix, rho0.matrix, atol=1e-12)
-
-
-def test_grid_bad_parameters(qubit_superposition):
-    H, rho0 = qubit_superposition
-    k = make_kernel(H, rho0)
-    with pytest.raises(BadParameter):
-        evolve_grid(k, 0.0, 1.0, 0)
-    with pytest.raises(BadParameter):
-        evolve_grid(k, 0.0, -0.1, 5)
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,11 +14,16 @@ import pytest
 import qrecur
 from qrecur import (
     Hamiltonian,
+    default_dt,
     evolve,
     fidelity,
     make_kernel,
     pure_state,
+    random_density,
     search,
+    torus_from_state,
+    torus_phase_at,
+    torus_surrogate_scan,
     validate_density,
 )
 from qrecur.evolution import CHUNK_BYTES
@@ -32,6 +37,7 @@ from qrecur.search import (
     sample_bytes,
     scan,
 )
+from qrecur.torus import torus_distance_series
 
 
 def _pure_system(n, seed):
@@ -116,7 +122,7 @@ class TestChunkSchedule:
     @pytest.mark.parametrize("r", [1, 8, 64])
     def test_budget_holds_at_n64(self, r):
         # schedule only: nothing of this size is allocated
-        cap = chunk_cap(64, r)
+        cap = chunk_cap(sample_bytes(64, r))
         sizes = [hi - lo for lo, hi in chunk_bounds(2_000_000, cap)]
         assert max(sizes) * sample_bytes(64, r) <= CHUNK_BYTES
         assert sum(sizes) == 2_000_000
@@ -136,6 +142,21 @@ class TestChunkSchedule:
             tracemalloc.stop()
         # the output and its clipped copy come on top of the chunk budget
         assert peak <= budget + 2 * times.nbytes + 64 * 1024
+
+    def test_torus_surrogate_peak_within_budget(self, monkeypatch):
+        budget = 2**20
+        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        H = Hamiltonian(np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 8)))
+        rho0 = random_density(8, 3)
+        grid = Grid(0.0, default_dt(H), 200_000)
+        tracemalloc.start()
+        try:
+            t, _ = torus_surrogate_scan(H, rho0, 0.05, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t is None  # no return: every chunk of the grid was scanned
+        assert peak <= budget + 64 * 1024
 
 
 class TestSplitInvariance:
@@ -161,13 +182,14 @@ class TestSplitInvariance:
         assert np.array_equal(grid.times()[1234:4321], grid.times(1234, 4321))
 
 
-def _brute_force(f, threshold):
-    below = np.flatnonzero(f < threshold)
-    if below.size == 0:
+def _brute_force(inside):
+    """First False of a mask over the whole grid, and the first True after it."""
+    away = np.flatnonzero(~inside)
+    if away.size == 0:
         return None, None
-    dep = int(below[0])
-    above = np.flatnonzero(f[dep:] >= threshold)
-    return dep, (dep + int(above[0]) if above.size else None)
+    dep = int(away[0])
+    back = np.flatnonzero(inside[dep:])
+    return dep, (dep + int(back[0]) if back.size else None)
 
 
 class TestFirstCrossingOnChunkBoundaries:
@@ -180,9 +202,9 @@ class TestFirstCrossingOnChunkBoundaries:
         self.kernel = make_kernel(self.H, pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0)))
 
     def _check(self, grid, threshold):
-        f = fidelity_series(self.kernel, grid.times())
-        expected = _brute_force(f, threshold)
-        assert _first_crossing(self.kernel, grid, threshold) == expected
+        expected = _brute_force(fidelity_series(self.kernel, grid.times()) >= threshold)
+        found = _first_crossing(scan(self.kernel, grid), lambda f: f >= threshold)
+        assert found == expected
         return expected
 
     @pytest.mark.parametrize("index", [255, 256, 257, 767, 768])
@@ -203,15 +225,73 @@ class TestFirstCrossingOnChunkBoundaries:
         grid = Grid(0.0, 0.01, 500)  # t <= 5 < 2 pi - 2 arccos(0.99)
         assert self._check(grid, 0.99)[1] is None
 
-    def test_on_chunk_sees_every_scanned_sample(self):
+    def test_reading_stops_at_the_return_chunk(self):
         grid = Grid(0.0, 2.0 * math.pi / 700.5, 5000)
         seen = []
-        dep, rec = _first_crossing(
-            self.kernel, grid, 0.9, on_chunk=lambda ts, f: seen.append(ts)
-        )
+
+        def chunks():
+            for chunk in scan(self.kernel, grid):
+                seen.append(chunk[1])
+                yield chunk
+
+        dep, rec = _first_crossing(chunks(), lambda f: f >= 0.9)
         times = np.concatenate(seen)
         assert np.array_equal(times, grid.times(0, times.size))
         assert rec < times.size <= 2 * rec
+
+
+class TestTorusSurrogateOnChunkBoundaries:
+    """The torus distance of the equal qubit superposition is |wrap(t/2)|
+    (mean energy 1/2): it grows from 0 and comes back at t = 4 pi, so a
+    radius between two neighbouring samples puts a crossing on a chosen
+    index."""
+
+    def setup_method(self):
+        self.H = Hamiltonian(np.array([0.0, 1.0]))
+        self.rho0 = pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
+        self.torus = torus_from_state(self.rho0)
+        self.lam = float(self.H.energies @ self.rho0.populations)
+
+    def _distances(self, times):
+        return torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
+
+    def _radius_between(self, grid, index):
+        d = self._distances(grid.times(index - 1, index + 1))
+        return (d[0] + d[1]) / 2.0
+
+    def _check(self, grid, r, monkeypatch):
+        seen = []
+
+        def recording(torus, thetas):
+            seen.append(torus_distance_series(torus, thetas))
+            return seen[-1]
+
+        monkeypatch.setattr(search, "torus_distance_series", recording)
+        t, bures_ok = torus_surrogate_scan(self.H, self.rho0, r, grid)
+        whole = self._distances(grid.times())
+        expected = _brute_force(whole <= r)
+        # the chunks carry the whole-grid values bit for bit, and the scan
+        # stops in the chunk of the return
+        streamed = np.concatenate(seen)
+        assert np.array_equal(streamed, whole[: streamed.size])
+        los = np.cumsum([0] + [d.size for d in seen[:-1]])
+        chunks = [(lo, None, d) for lo, d in zip(los, seen)]
+        assert _first_crossing(chunks, lambda d: d <= r) == expected
+        assert los[-1] <= expected[1] < streamed.size
+        assert t == grid.times()[expected[1]] and bures_ok
+        return expected
+
+    @pytest.mark.parametrize("index", [255, 256, 257, 767, 768])
+    def test_departure_on_boundary(self, index, monkeypatch):
+        grid = Grid(0.0, 1.0 / (index + 0.5), 13 * (index + 1))
+        dep, _ = self._check(grid, self._radius_between(grid, index), monkeypatch)
+        assert dep == index
+
+    @pytest.mark.parametrize("index", [255, 256, 257, 767, 768])
+    def test_return_on_boundary(self, index, monkeypatch):
+        grid = Grid(0.0, 4.0 * math.pi / (index + 3.5), index + 50)
+        dep, rec = self._check(grid, self._radius_between(grid, index), monkeypatch)
+        assert rec == index and dep < index
 
 
 def test_package_import_does_not_load_scipy():

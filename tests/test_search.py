@@ -135,15 +135,6 @@ class TestFindRecurrence:
         assert res.refined
         assert abs(res.t_rec - true_cross) <= dt / 2.0**9
 
-    def test_record_samples(self):
-        H, rho0 = qubit()
-        grid = Grid(0.0, default_dt(H), 50)
-        res = find_recurrence(H, rho0, 0.999, grid, record_samples=True)
-        assert len(res.samples) == 50
-        s = res.samples[0]
-        assert s.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert s.torus_dist is not None
-
     def test_bad_threshold(self):
         H, rho0 = qubit()
         with pytest.raises(BadParameter):
