@@ -11,6 +11,7 @@ support, which is what the fidelity scan in `search` works from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +31,16 @@ class EvolutionKernel:
 
     levels[k] = (E_k - c)/hbar with c the middle of the spectrum, so phase
     arguments stay small; gram[k] = conj(W[k]) (x) W[k], of shape
-    (n, rank^2), for the support factor W of rho0.
+    (n, rank^2), for the support factor W of rho0. speed is an upper
+    bound on dE/hbar, the fastest rate at which the Bures angle
+    arccos F(rho0, rho(t)) can change (Mandelstam-Tamm).
     """
 
     rho0: DensityMatrix
     levels: np.ndarray = field(repr=False)
     gram: np.ndarray = field(repr=False)
     rank: int
+    speed: float
 
     @property
     def dim(self) -> int:
@@ -59,9 +63,15 @@ def make_kernel(H: Hamiltonian, rho0: DensityMatrix) -> EvolutionKernel:
     w = gram_factor(rho0.matrix)
     n, r = w.shape
     gram = (w.conj()[:, :, None] * w[:, None, :]).reshape(n, r * r)
+    p = rho0.populations
+    var = float((levels - levels @ p) ** 2 @ p)
+    # pad the variance by 2 n^2 eps spread^2: the populations of W W^dag,
+    # the state the scan evaluates, differ from rho0's by up to n dropped
+    # eigenvalues of under n eps each
+    pad = 8.0 * n * n * np.finfo(float).eps * float(np.max(levels**2))
     levels.setflags(write=False)
     gram.setflags(write=False)
-    return EvolutionKernel(rho0, levels, gram, r)
+    return EvolutionKernel(rho0, levels, gram, r, math.sqrt(var + pad))
 
 
 def is_stationary(H: Hamiltonian, rho0: DensityMatrix) -> bool:

@@ -8,6 +8,11 @@ needs n phases and one r x r nuclear norm, with r the rank of rho0 (see
 `fidelity_series`). The torus surrogate walks the same chunks with the
 torus distance in place of F.
 
+Given a threshold, `scan` skips the samples the quantum speed limit
+already proves below it: the Bures angle arccos F moves at most dE/hbar
+per unit time, so one sample far from the threshold clears its
+neighbours (see `_pruned_series`).
+
 One rule, `_first_crossing`, reads every departure and return. The
 operational definition, recorded in every report, is: t_departure is
 the first grid time with F below the threshold, t_rec the first grid
@@ -40,6 +45,8 @@ from .torus import (
 )
 
 CHUNK_START = 256  # samples in a scan's first chunk; later chunks double
+# Fidelity margin of a skipped sample: far above the kernel's ~1e-12 error
+SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,7 @@ class RecurrenceResult:
     no_departure_within_horizon: bool
     refined: bool
     bracket_check: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)  # scan counts, see find_recurrence
 
     def to_dict(self) -> dict:
         return {
@@ -80,6 +88,7 @@ class RecurrenceResult:
             "refined": self.refined,
             "definition": "first grid time after the first departure below threshold",
             "bracket_check": dict(self.bracket_check),
+            "diagnostics": dict(self.diagnostics),
         }
 
 
@@ -157,12 +166,58 @@ def _chunks(
 
 
 def scan(
-    kernel: EvolutionKernel, grid: Grid, start: int = 0
+    kernel: EvolutionKernel, grid: Grid, start: int = 0, threshold: float | None = None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (lo, times, F) over grid samples start..steps-1 in growing
-    chunks (see chunk_bounds). Stop iterating to stop the scan."""
+    chunks (see chunk_bounds). Stop iterating to stop the scan.
+
+    Without a threshold every sample is evaluated. With one, a sample the
+    speed limit proves to have F <= threshold - SLACK is not evaluated
+    and carries F = -inf; every other value is the one fidelity_series
+    gives, so a test F >= threshold reads the same on both.
+    """
     cap = chunk_cap(sample_bytes(kernel.dim, kernel.rank))
-    return _chunks(grid, cap, lambda ts: fidelity_series(kernel, ts), start)
+    theta = kernel.speed * grid.dt
+    if threshold is None or theta == 0.0:
+        return _chunks(grid, cap, lambda ts: fidelity_series(kernel, ts), start)
+    return _chunks(grid, cap, lambda ts: _pruned_series(kernel, ts, threshold, theta), start)
+
+
+def _pruned_series(
+    kernel: EvolutionKernel, times: np.ndarray, threshold: float, theta: float
+) -> np.ndarray:
+    """fidelity_series on evenly spaced times, -inf where skipped.
+
+    The Bures angle A(t) = arccos F moves at most theta per step, so a
+    sample j with angle A_j proves every sample within
+    k_j = floor((A_j - A*)/theta) steps has A >= A* = arccos(threshold -
+    SLACK). Samples are evaluated coarse to fine: every stride-th one
+    first, stride the largest power of two at which two samples at the
+    largest angle, pi/2, could clear the gap between them, then halving
+    down to 1, skipping what earlier levels cleared.
+    """
+    a_star = math.acos(threshold - SLACK)
+    m = times.size
+    out = np.full(m, -np.inf)
+    todo = np.ones(m, dtype=bool)
+    span = int(min(max(2.0 * (math.pi / 2.0 - a_star) / theta, 1.0), m))
+    stride = 1 << (span.bit_length() - 1)
+    while stride >= 1:
+        idx = np.flatnonzero(todo[::stride]) * stride
+        if idx.size:
+            f = fidelity_series(kernel, times[idx])
+            out[idx] = f
+            todo[idx] = False
+            # F + SLACK bounds the true F from above, so the angle from below
+            k = (np.arccos(np.minimum(1.0, f + SLACK)) - a_star) // theta
+            hit = k >= 1
+            k = np.minimum(k[hit], m).astype(int)
+            j = idx[hit]
+            cover = np.bincount(np.maximum(j - k, 0), minlength=m + 1)
+            cover -= np.bincount(np.minimum(j + k + 1, m), minlength=m + 1)
+            todo &= np.cumsum(cover[:m]) == 0
+        stride //= 2
+    return out
 
 
 def _first_crossing(
@@ -231,7 +286,10 @@ def find_recurrence(
     if grid.dt > limit * (1.0 + 1e-12) and not allow_coarse:
         raise GridTooCoarse(f"dt = {grid.dt} exceeds the default limit {limit}")
     kernel = make_kernel(H, rho0)
-    dep_idx, rec_idx = _first_crossing(scan(kernel, grid), lambda f: f >= threshold)
+    counts = {"samples_evaluated": 0, "chunks": 0}
+    dep_idx, rec_idx = _first_crossing(
+        _counted(scan(kernel, grid, threshold=threshold), counts), lambda f: f >= threshold
+    )
     t_dep = t_rec = None
     if dep_idx is not None:
         t_dep = grid.t0 + grid.dt * dep_idx
@@ -262,26 +320,40 @@ def find_recurrence(
         no_departure_within_horizon=dep_idx is None,
         refined=refine,
         bracket_check=bracket,
+        diagnostics=counts,
     )
+
+
+def _counted(chunks, counts: dict):
+    """Pass (lo, times, F) chunks through, counting them and the samples
+    evaluated in them (the finite F)."""
+    for chunk in chunks:
+        counts["chunks"] += 1
+        counts["samples_evaluated"] += int(np.isfinite(chunk[2]).sum())
+        yield chunk
 
 
 def collect_samples(
     H: Hamiltonian, rho0: DensityMatrix, times: np.ndarray
-) -> list[DistanceSample]:
-    """Full distance records (fidelity, Bures, trace, HS, torus) per time."""
+) -> Iterator[DistanceSample]:
+    """Full distance records (fidelity, Bures, trace, HS, torus) per time,
+    yielded in order. Fidelity and torus distance are evaluated in the
+    blocks of chunk_bounds, so memory stays within CHUNK_BYTES however
+    many times there are."""
     kernel = make_kernel(H, rho0)
-    f = fidelity_series(kernel, times)
     torus = None
     if np.all(rho0.populations > 1e-14):
         torus = torus_from_state(rho0)
         lam = float(H.energies @ rho0.populations)
-        tdist = torus_distance_series(torus, torus_phase_at(H, lam, times))
-    out = []
     rho0m = rho0.matrix
-    for i, t in enumerate(times):
-        diff = evolve(kernel, t).matrix - rho0m
-        out.append(
-            DistanceSample(
+    for lo, hi in chunk_bounds(times.size, chunk_cap(40 * H.dim)):
+        ts = times[lo:hi]
+        f = fidelity_series(kernel, ts)
+        if torus is not None:
+            tdist = torus_distance_series(torus, torus_phase_at(H, lam, ts))
+        for i, t in enumerate(ts):
+            diff = evolve(kernel, t).matrix - rho0m
+            yield DistanceSample(
                 t=float(t),
                 fidelity=float(f[i]),
                 bures=float(np.sqrt(max(0.0, 2.0 - 2.0 * f[i]))),
@@ -289,8 +361,6 @@ def collect_samples(
                 hs_dist=float(np.linalg.norm(diff)),
                 torus_dist=float(tdist[i]) if torus is not None else None,
             )
-        )
-    return out
 
 
 def stroboscopic_recurrence(
@@ -310,7 +380,7 @@ def stroboscopic_recurrence(
     cap = jmax_cap if math.isinf(jmax) else min(jmax_cap, math.ceil(jmax))
     kernel = make_kernel(H, rho0)
     # grid index j is the step count: sample j sits at 0 + t*j = j*t
-    for lo, _, f in scan(kernel, Grid(0.0, t, cap + 1), start=1):
+    for lo, _, f in scan(kernel, Grid(0.0, t, cap + 1), start=1, threshold=epsilon):
         hits = np.flatnonzero(f >= epsilon)
         if hits.size:
             return StroboscopicResult(

@@ -119,7 +119,8 @@ class _SubmersionCheck:
 
     float64 fidelity noise inflates near-zero Bures distances by
     ~sqrt(eps), so samples that look like violations are re-checked with
-    the fidelity recomputed at 40 digits.
+    the fidelity recomputed at 40 digits. At t = 0, where rho(0) = rho0,
+    the exact Bures distance 0 is used instead.
     """
 
     def __init__(self, H, rho0, lam: float):
@@ -133,7 +134,10 @@ class _SubmersionCheck:
         for lo, times, f in chunks:
             bures = np.sqrt(np.clip(2.0 - 2.0 * f, 0.0, None))
             tdist = torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
-            flagged = np.flatnonzero(bures > tdist + 1e-9)
+            start = times == 0.0
+            if start.any():
+                self.excess = max(self.excess, float((0.0 - tdist[start]).max()))
+            flagged = np.flatnonzero((bures > tdist + 1e-9) & ~start)
             if flagged.size:
                 if self._sqrt_rho_hp is None:
                     self._sqrt_rho_hp = _sqrt_rho_mp(self.rho0.matrix)

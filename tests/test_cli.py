@@ -112,6 +112,9 @@ class TestSearch:
         dt = math.pi / 4.0
         assert abs(out["t_rec"] - 2.0 * math.pi) <= dt
         assert out["bracket_check"]["lower_ok"] and out["bracket_check"]["upper_ok"]
+        # of the 9 samples, t = 0, pi and 2 pi are evaluated: F(pi) = 0
+        # proves the other 6 samples within 3 steps of it below the threshold
+        assert out["diagnostics"] == {"samples_evaluated": 3, "chunks": 1}
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "t,fidelity,bures,trace_dist,hs_dist,torus_dist"
         assert len(lines) == 1 + out["grid"]["steps"]

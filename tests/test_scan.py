@@ -17,6 +17,7 @@ from qrecur import (
     default_dt,
     evolve,
     fidelity,
+    find_recurrence,
     make_kernel,
     pure_state,
     random_density,
@@ -25,10 +26,12 @@ from qrecur import (
     torus_phase_at,
     torus_surrogate_scan,
     validate_density,
+    verify,
 )
 from qrecur.evolution import CHUNK_BYTES
 from qrecur.search import (
     CHUNK_START,
+    SLACK,
     Grid,
     _first_crossing,
     chunk_bounds,
@@ -158,6 +161,22 @@ class TestChunkSchedule:
         assert t is None  # no return: every chunk of the grid was scanned
         assert peak <= budget + 64 * 1024
 
+    def test_collect_samples_peak_within_budget(self, monkeypatch):
+        # the rows of qrecur search --csv; 5.95 MB when they came as one list
+        budget = 2**20
+        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        H = Hamiltonian(np.sort(np.random.default_rng(8).uniform(0.0, 1.0, 8)))
+        rho0 = random_density(8, 4)
+        times = Grid(0.0, default_dt(H), 20_000).times()
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in search.collect_samples(H, rho0, times))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == times.size
+        assert peak <= budget + 2 * times.nbytes + 64 * 1024
+
 
 class TestSplitInvariance:
     @pytest.mark.parametrize("n, r", [(2, 1), (16, 1), (5, 5), (6, 2), (16, 16)])
@@ -197,13 +216,18 @@ class TestFirstCrossingOnChunkBoundaries:
     [0, pi] and rises back on [pi, 2 pi], so a threshold between two
     neighbouring samples puts a crossing on a chosen index."""
 
+    pruned = False  # scan with the threshold, skipping what the speed limit clears
+
     def setup_method(self):
         self.H = Hamiltonian(np.array([0.0, 1.0]))
         self.kernel = make_kernel(self.H, pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0)))
 
+    def _scan(self, grid, threshold):
+        return scan(self.kernel, grid, threshold=threshold if self.pruned else None)
+
     def _check(self, grid, threshold):
         expected = _brute_force(fidelity_series(self.kernel, grid.times()) >= threshold)
-        found = _first_crossing(scan(self.kernel, grid), lambda f: f >= threshold)
+        found = _first_crossing(self._scan(grid, threshold), lambda f: f >= threshold)
         assert found == expected
         return expected
 
@@ -230,7 +254,7 @@ class TestFirstCrossingOnChunkBoundaries:
         seen = []
 
         def chunks():
-            for chunk in scan(self.kernel, grid):
+            for chunk in self._scan(grid, 0.9):
                 seen.append(chunk[1])
                 yield chunk
 
@@ -238,6 +262,98 @@ class TestFirstCrossingOnChunkBoundaries:
         times = np.concatenate(seen)
         assert np.array_equal(times, grid.times(0, times.size))
         assert rec < times.size <= 2 * rec
+
+
+class TestPrunedFirstCrossingOnChunkBoundaries(TestFirstCrossingOnChunkBoundaries):
+    pruned = True
+
+
+def _ensemble_case(i):
+    """Instance i of the bracket ensemble at seed 42, with its threshold
+    and grid."""
+    H, rho0, u = verify._random_instance([42, i])
+    eps = u * math.pi * float(np.sqrt(rho0.populations.min()))
+    report = qrecur.bounds.energy_bounds(H, rho0, eps)
+    dt = min(default_dt(H), report.lower_mt / 4.0)
+    steps = math.ceil((report.upper_product + 2.0 * dt) / dt)
+    return H, rho0, 1.0 - eps**2 / 4.0, Grid(0.0, dt, steps)
+
+
+class TestPrunedScan:
+    """scan(..., threshold=...) skips samples the Bures-angle speed limit
+    proves below threshold - SLACK, and finds the crossings the
+    exhaustive scan finds."""
+
+    @staticmethod
+    def _crossings(H, rho0, threshold, grid):
+        kernel = make_kernel(H, rho0)
+        inside = lambda f: f >= threshold  # noqa: E731
+
+        def paired():
+            exhaustive = scan(kernel, grid)
+            for (lo, ts, f), (_, _, g) in zip(scan(kernel, grid, threshold=threshold), exhaustive):
+                skipped = np.isneginf(f)
+                assert np.array_equal(f[~skipped], g[~skipped])
+                assert np.all(g[skipped] <= threshold - SLACK + 1e-12)
+                yield lo, ts, f
+
+        found = _first_crossing(paired(), inside)
+        assert found == _first_crossing(scan(kernel, grid), inside)
+        return found
+
+    def test_bracket_ensemble_crossings_match_exhaustive(self):
+        for i in range(200):
+            self._crossings(*_ensemble_case(i))
+
+    @pytest.mark.parametrize(
+        "i, threshold, t_rec", [(68, 0.99, 387.535), (80, 0.999, None), (144, 0.999, 311.598)]
+    )
+    def test_grid_misses_stay_as_they_were(self, i, threshold, t_rec):
+        # the default grid steps over the true first return of these three
+        # (137.7, 207.0 and 110.5 on a 64 times finer grid); skipping
+        # samples must neither mend nor move that
+        H, rho0, _ = verify._random_instance([42, i])
+        grid = Grid(0.0, default_dt(H), math.ceil(400.0 / default_dt(H)))
+        dep, rec = self._crossings(H, rho0, threshold, grid)
+        assert dep == 1
+        assert (rec is None) == (t_rec is None)
+        res = find_recurrence(H, rho0, threshold, grid)
+        assert res.t_rec == (None if rec is None else grid.times(rec, rec + 1)[0])
+        if t_rec is not None:
+            assert res.t_rec == pytest.approx(t_rec, abs=1e-3)
+
+    def test_strobe_matches_exhaustive(self):
+        H, m = _mixed_rank(6, 6, 11)
+        rho0 = validate_density(m)
+        kernel = make_kernel(H, rho0)
+        f = fidelity_series(kernel, 0.37 * np.arange(1, 20_001))
+        for eps in (0.9, 0.99, float(np.sort(f)[-3])):
+            hits = np.flatnonzero(f >= eps)
+            expected = int(hits[0]) + 1 if hits.size else None
+            assert search.stroboscopic_recurrence(H, rho0, eps, 0.37, 20_000).j_found == expected
+
+    def test_full_rank_n16_evaluates_under_a_quarter(self):
+        # the benchmark's full-rank mixture: 0.7 of a pure state with equal
+        # populations and random phases, 0.3 of a random full-rank state
+        rng = np.random.default_rng(16)
+        H = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, 16)))
+        psi = np.exp(2j * np.pi * rng.uniform(size=16)) / 4.0
+        rho0 = validate_density(0.7 * np.outer(psi, psi.conj()) + 0.3 * random_density(16, rng).matrix)
+        eps = 0.01 * math.pi * math.sqrt(float(rho0.populations.min()))
+        grid = Grid(0.0, default_dt(H), 16_384)
+        res = find_recurrence(H, rho0, 1.0 - eps**2 / 4.0, grid)
+        assert res.t_departure is not None and res.t_rec is None  # the whole grid
+        assert res.diagnostics["chunks"] == len(list(chunk_bounds(16_384, chunk_cap(sample_bytes(16, 16)))))
+        assert res.diagnostics["samples_evaluated"] < grid.steps / 4
+
+    def test_speed_bounds_the_energy_spread(self):
+        H, m = _mixed_rank(7, 7, 12)
+        rho0 = validate_density(m)
+        p = rho0.populations
+        spread = math.sqrt(float((H.energies - H.energies @ p) ** 2 @ p))
+        speed = make_kernel(H, rho0).speed
+        assert spread <= speed <= spread * (1.0 + 1e-6)
+        assert make_kernel(Hamiltonian(2.0 * H.energies, hbar=2.0), rho0).speed == pytest.approx(speed)
 
 
 class TestTorusSurrogateOnChunkBoundaries:

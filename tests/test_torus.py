@@ -32,6 +32,7 @@ from qrecur.errors import (
     ZeroPopulation,
 )
 from qrecur import torus as torus_module
+from qrecur import verify
 from qrecur.torus import torus_distance_series
 
 
@@ -129,6 +130,21 @@ class TestSubmersionInequality:
         # float64 fidelity noise can push bures above by ~sqrt(eps); the
         # verification suite re-checks flagged samples at high precision
         assert d_bures <= d_torus + 2e-6
+
+    def test_ensemble_takes_the_exact_value_at_t_zero(self, monkeypatch):
+        # rho(0) = rho0, so the Bures distance there is exactly 0: no t = 0
+        # sample goes to the 40-digit re-check
+        rechecked = []
+
+        def recording(sqrt_rho, energies, hbar, times, tdist):
+            rechecked.extend(times)
+            return original(sqrt_rho, energies, hbar, times, tdist)
+
+        original = verify._submersion_excess_hp
+        monkeypatch.setattr(verify, "_submersion_excess_hp", recording)
+        res = verify.bracket_ensemble_suite(count=20, seed=42)
+        assert res["checked"] > 0 and res["submersion_excess"] == 0.0
+        assert 0.0 not in rechecked
 
 
 class TestVolumes:
