@@ -37,8 +37,20 @@ MAX_AUTO_SAMPLES = 10_000_000
 MAX_CSV_SAMPLES = 200_000
 
 
+def _strict(obj):
+    """obj with every non-finite float, at any depth, as the string "inf",
+    "-inf" or "nan", which strict JSON parsers accept."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _dump_json(obj, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(_strict(obj), indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -157,17 +169,13 @@ def _cmd_strobe(args) -> int:
             "t": args.t,
             "j_found": res.j_found,
             "t_rec": None if res.j_found is None else res.j_found * args.t,
-            "jmax_theory": _finite_or_str(res.jmax_theory),
+            "jmax_theory": res.jmax_theory,
             "cap": res.cap,
             "cap_exceeded": res.cap_exceeded,
         },
         args.output,
     )
     return 0
-
-
-def _finite_or_str(x: float):
-    return x if math.isfinite(x) else "inf"
 
 
 def _cmd_truncate(args) -> int:
@@ -313,7 +321,7 @@ def main(argv=None) -> int:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "max_epsilon", None) is not None:
             error["max_epsilon"] = exc.max_epsilon
-        print(json.dumps(error, indent=2, sort_keys=True))
+        _dump_json(error, None)
         return 1
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,12 @@ class EvolutionKernel:
     (n, rank^2), for the support factor W of rho0. speed is an upper
     bound on dE/hbar, the fastest rate at which the Bures angle
     arccos F(rho0, rho(t)) can change (Mandelstam-Tamm).
+
+    coherence[k, k'] = |rho_kk'|^2 and mixedness = (tr rho)^2 - tr rho^2
+    (1 - tr rho^2 at unit trace) are taken from rho = W W^dag, the state
+    the scan evaluates. They give the super-fidelity tr rho rho(t) +
+    mixedness, with tr rho rho(t) = u . coherence . conj(u) for the phase
+    row u.
     """
 
     rho0: DensityMatrix
@@ -41,6 +47,8 @@ class EvolutionKernel:
     gram: np.ndarray = field(repr=False)
     rank: int
     speed: float
+    coherence: np.ndarray = field(repr=False)
+    mixedness: float
 
     @property
     def dim(self) -> int:
@@ -63,6 +71,8 @@ def make_kernel(H: Hamiltonian, rho0: DensityMatrix) -> EvolutionKernel:
     w = gram_factor(rho0.matrix)
     n, r = w.shape
     gram = (w.conj()[:, :, None] * w[:, None, :]).reshape(n, r * r)
+    coherence = np.abs(w @ w.conj().T) ** 2
+    mixedness = float(np.vdot(w, w).real) ** 2 - float(coherence.sum())
     p = rho0.populations
     var = float((levels - levels @ p) ** 2 @ p)
     # pad the variance by 2 n^2 eps spread^2: the populations of W W^dag,
@@ -71,7 +81,8 @@ def make_kernel(H: Hamiltonian, rho0: DensityMatrix) -> EvolutionKernel:
     pad = 8.0 * n * n * np.finfo(float).eps * float(np.max(levels**2))
     levels.setflags(write=False)
     gram.setflags(write=False)
-    return EvolutionKernel(rho0, levels, gram, r, math.sqrt(var + pad))
+    coherence.setflags(write=False)
+    return EvolutionKernel(rho0, levels, gram, r, math.sqrt(var + pad), coherence, mixedness)
 
 
 def is_stationary(H: Hamiltonian, rho0: DensityMatrix) -> bool:

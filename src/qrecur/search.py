@@ -11,7 +11,10 @@ torus distance in place of F.
 Given a threshold, `scan` skips the samples the quantum speed limit
 already proves below it: the Bures angle arccos F moves at most dE/hbar
 per unit time, so one sample far from the threshold clears its
-neighbours (see `_pruned_series`).
+neighbours (see `_pruned_series`). For a mixed rho0 it also skips the
+r x r nuclear norm wherever the super-fidelity ceiling
+F^2 <= tr rho0 rho(t) + 1 - tr rho0^2, one n x n quadratic form in the
+phase row, already proves F below the threshold.
 
 One rule, `_first_crossing`, reads every departure and return. The
 operational definition, recorded in every report, is: t_departure is
@@ -49,6 +52,15 @@ CHUNK_START = 256  # samples in a scan's first chunk; later chunks double
 SLACK = 1e-9
 
 
+def _g_rounding(n: int) -> float:
+    """Margin added to the super-fidelity G of an n-level kernel before it
+    is compared, 4 (n + 2)^2 eps. The worst-case float64 errors of G's
+    parts (W W^dag over r <= n terms, its squared moduli, (tr rho)^2 over
+    n r terms, tr rho^2 over n^2, two length-n sums with the phase row)
+    add up to under (1.5 n^2 + 3 n + 10) eps, for a unit trace."""
+    return 4.0 * (n + 2) ** 2 * np.finfo(float).eps
+
+
 @dataclass(frozen=True)
 class Grid:
     t0: float
@@ -75,7 +87,7 @@ class RecurrenceResult:
     no_departure_within_horizon: bool
     refined: bool
     bracket_check: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)  # scan counts, see find_recurrence
+    diagnostics: dict = field(default_factory=dict)  # how it was found, see find_recurrence
 
     def to_dict(self) -> dict:
         return {
@@ -183,6 +195,16 @@ def scan(
     return _chunks(grid, cap, lambda ts: _pruned_series(kernel, ts, threshold, theta), start)
 
 
+def _super_fidelity(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
+    """G(t) = tr rho0 rho(t) + 1 - tr rho0^2 for every t, an upper bound on
+    F^2 (super-fidelity, Miszczak et al., QIC 9, 103 (2009)); rho(t) has
+    the purity of rho0. tr rho0 rho(t) = u . |rho0_kk'|^2 . conj(u) with u
+    the phase row, so a sample costs one row-times-matrix product."""
+    u = kernel.phases(times)
+    v = u @ kernel.coherence
+    return (u.real * v.real + u.imag * v.imag).sum(axis=1) + kernel.mixedness
+
+
 def _pruned_series(
     kernel: EvolutionKernel, times: np.ndarray, threshold: float, theta: float
 ) -> np.ndarray:
@@ -195,8 +217,15 @@ def _pruned_series(
     first, stride the largest power of two at which two samples at the
     largest angle, pi/2, could clear the gap between them, then halving
     down to 1, skipping what earlier levels cleared.
+
+    For rank > 1, each level first takes the super-fidelity ceiling
+    F <= sqrt(G); fidelity_series runs only where it does not already
+    prove F <= threshold - SLACK, and the tighter of the two upper
+    bounds on F sets the angle. At rank 1, G = F^2 costs as much as F.
     """
     a_star = math.acos(threshold - SLACK)
+    g_star = (threshold - SLACK) ** 2
+    margin = _g_rounding(kernel.dim)
     m = times.size
     out = np.full(m, -np.inf)
     todo = np.ones(m, dtype=bool)
@@ -205,11 +234,18 @@ def _pruned_series(
     while stride >= 1:
         idx = np.flatnonzero(todo[::stride]) * stride
         if idx.size:
-            f = fidelity_series(kernel, times[idx])
-            out[idx] = f
+            upper = np.full(idx.size, np.inf)
+            exact = np.ones(idx.size, dtype=bool)
+            if kernel.rank > 1:
+                g = _super_fidelity(kernel, times[idx]) + margin
+                upper = np.sqrt(g)
+                exact = g > g_star
+            f = fidelity_series(kernel, times[idx[exact]])
+            out[idx[exact]] = f
             todo[idx] = False
             # F + SLACK bounds the true F from above, so the angle from below
-            k = (np.arccos(np.minimum(1.0, f + SLACK)) - a_star) // theta
+            upper[exact] = np.minimum(upper[exact], f + SLACK)
+            k = (np.arccos(np.minimum(1.0, upper)) - a_star) // theta
             hit = k >= 1
             k = np.minimum(k[hit], m).astype(int)
             j = idx[hit]
@@ -320,7 +356,9 @@ def find_recurrence(
         no_departure_within_horizon=dep_idx is None,
         refined=refine,
         bracket_check=bracket,
-        diagnostics=counts,
+        # a return window between two samples dips at most this far below
+        # arccos(threshold): the angle needs 2 depth / speed to go and come back
+        diagnostics={**counts, "missable_depth": kernel.speed * grid.dt / 2.0},
     )
 
 

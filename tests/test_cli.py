@@ -114,7 +114,12 @@ class TestSearch:
         assert out["bracket_check"]["lower_ok"] and out["bracket_check"]["upper_ok"]
         # of the 9 samples, t = 0, pi and 2 pi are evaluated: F(pi) = 0
         # proves the other 6 samples within 3 steps of it below the threshold
-        assert out["diagnostics"] == {"samples_evaluated": 3, "chunks": 1}
+        # missable_depth = speed * dt / 2 = (1/2)(pi/4)/2
+        assert out["diagnostics"] == {
+            "samples_evaluated": 3,
+            "chunks": 1,
+            "missable_depth": pytest.approx(math.pi / 16.0, rel=1e-12),
+        }
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "t,fidelity,bures,trace_dist,hs_dist,torus_dist"
         assert len(lines) == 1 + out["grid"]["steps"]
@@ -343,3 +348,52 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "special_functions: PASS" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    """Every subcommand writes JSON that a strict parser accepts: a
+    non-finite number is the string "inf", "-inf" or "nan"."""
+
+    @pytest.fixture
+    def equal200_json(self, tmp_path):
+        # the equal superposition of 200 levels saturates the bounds at a
+        # tight threshold
+        path = tmp_path / "equal200.json"
+        s = 1.0 / math.sqrt(200.0)
+        path.write_text(
+            json.dumps({"energies": list(range(200)), "state": {"pure": [[s, 0.0]] * 200}})
+        )
+        return str(path)
+
+    def test_saturated_values_are_strings(self, equal200_json, qubit_json, capsys):
+        assert main(["bounds", "--input", equal200_json, "--threshold", "0.999999"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        for key in ("upper_product", "upper_simplified", "jmax_dimension"):
+            assert out[key] == "inf"
+        assert out["estimates"]["bhattacharyya"] == "inf"
+        # a fidelity floor of 1 has no finite dimension ceiling
+        argv = ["strobe", "--input", qubit_json, "--epsilon", "1.0", "--t", "0.37", "--jmax-cap", "10"]
+        code, out = run_json(argv, capsys)
+        assert code == 0 and out["jmax_theory"] == "inf" and out["cap_exceeded"]
+
+    def test_every_subcommand_parses_strictly(
+        self, qubit_json, mixed3_json, equal200_json, tmp_path, capsys
+    ):
+        verify_path = tmp_path / "verify.json"
+        calls = [
+            ["bounds", "--input", equal200_json, "--threshold", "0.999999"],
+            ["search", "--input", qubit_json, "--threshold", "0.999", "--horizon", "7.0"],
+            ["strobe", "--input", qubit_json, "--epsilon", "1.0", "--t", "0.37", "--jmax-cap", "10"],
+            ["truncate", "--input", mixed3_json, "--N", "2", "--epsilon", "0.1"],
+            ["geometry", "--ball", "3", "1.5", "--state", mixed3_json],
+            ["truncate", "--input", qubit_json, "--N", "1", "--epsilon", "0.1"],  # error JSON
+        ]
+        for argv in calls:
+            assert main(argv) in (0, 1)
+            json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert main(["verify", "--suite", "special_functions", "--output", str(verify_path)]) == 0
+        json.loads(verify_path.read_text(), parse_constant=_reject_constant)

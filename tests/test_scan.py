@@ -346,6 +346,22 @@ class TestPrunedScan:
         assert res.diagnostics["chunks"] == len(list(chunk_bounds(16_384, chunk_cap(sample_bytes(16, 16)))))
         assert res.diagnostics["samples_evaluated"] < grid.steps / 4
 
+    def test_full_rank_n32_evaluates_under_one_percent(self):
+        # the benchmark's n = 32 full-rank mixture: the super-fidelity
+        # ceiling proves nearly every sample below threshold without an SVD
+        rng = np.random.default_rng(32)
+        H = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, 32)))
+        psi = np.exp(2j * np.pi * rng.uniform(size=32)) / math.sqrt(32.0)
+        rho0 = validate_density(0.7 * np.outer(psi, psi.conj()) + 0.3 * random_density(32, rng).matrix)
+        eps = 0.01 * math.pi * math.sqrt(float(rho0.populations.min()))
+        threshold = 1.0 - eps**2 / 4.0
+        grid = Grid(0.0, default_dt(H), 8_192)
+        dep, rec = self._crossings(H, rho0, threshold, grid)
+        res = find_recurrence(H, rho0, threshold, grid)
+        assert dep is not None and res.t_departure == grid.times(dep, dep + 1)[0]
+        assert rec is None and res.t_rec is None
+        assert res.diagnostics["samples_evaluated"] < grid.steps / 100
+
     def test_speed_bounds_the_energy_spread(self):
         H, m = _mixed_rank(7, 7, 12)
         rho0 = validate_density(m)
@@ -354,6 +370,54 @@ class TestPrunedScan:
         speed = make_kernel(H, rho0).speed
         assert spread <= speed <= spread * (1.0 + 1e-6)
         assert make_kernel(Hamiltonian(2.0 * H.energies, hbar=2.0), rho0).speed == pytest.approx(speed)
+
+
+def _state_with_eigenvalues(vals, rng):
+    """V diag(vals) V^dag / trace for a random unitary V."""
+    n = vals.size
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = (q * vals) @ q.conj().T
+    return validate_density(m / m.trace().real)
+
+
+class TestSuperFidelityCeiling:
+    """G(t) = tr rho0 rho(t) + 1 - tr rho0^2 bounds F(t)^2 from above
+    (super-fidelity), for the support state W W^dag the scan evaluates."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+    def test_ceiling_bounds_the_fidelity(self, n):
+        rng = np.random.default_rng(100 + n)
+        times = np.concatenate([[0.0], rng.uniform(0.0, 50.0, 48)])
+        generic = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, n)))
+        degenerate = Hamiltonian(np.sort(rng.integers(0, 3, n)).astype(float))
+        for r in range(1, n + 1):
+            zeros = np.zeros(n - r)
+            cases = [
+                (generic, np.concatenate([rng.uniform(0.1, 1.0, r), zeros])),
+                (degenerate, np.concatenate([np.full(r, 1.0 / r), zeros])),
+                # eigenvalues of 1e-18 lie below the support cut n eps lambda_max
+                (generic, np.concatenate([rng.uniform(0.1, 1.0, r), zeros + 1e-18])),
+            ]
+            for H, vals in cases:
+                kernel = make_kernel(H, _state_with_eigenvalues(vals, rng))
+                assert kernel.rank == r
+                f = fidelity_series(kernel, times)
+                g = search._super_fidelity(kernel, times)
+                # compared as F^2: at rank 1, G = F^2 exactly, and near F = 0
+                # a square root would magnify G's ~1e-16 rounding
+                assert np.all(g >= f**2 - 1e-15)
+                # the margin the scan adds covers every rounding, F's included
+                assert np.all(np.sqrt(g + search._g_rounding(n)) >= f)
+                # at t = 0, rho(0) = rho0: G = F^2 = 1 up to round-off
+                assert g[0] == pytest.approx(1.0, abs=1e-13)
+
+    def test_pure_state_ceiling_is_the_fidelity(self):
+        # rank 1: G = |<psi|psi(t)>|^2 = F^2, which is why such scans skip it
+        H, psi = _pure_system(6, 5)
+        kernel = make_kernel(H, pure_state(psi))
+        times = np.linspace(0.0, 30.0, 101)
+        g = search._super_fidelity(kernel, times)
+        assert np.allclose(g, fidelity_series(kernel, times) ** 2, rtol=0.0, atol=1e-14)
 
 
 class TestTorusSurrogateOnChunkBoundaries:
