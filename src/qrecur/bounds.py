@@ -15,7 +15,7 @@ carry both the linear value (saturating to inf) and its log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import mpmath as mp
 import numpy as np
@@ -64,28 +64,9 @@ class BoundReport:
     ceiling_norm: str | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "epsilon_convention": self.epsilon_convention,
-            "hbar": self.hbar,
-            "lambda_shift": self.lambda_shift,
-            "energy_uncertainty": self.energy_uncertainty,
-            "lower_mt": self.lower_mt,
-            "upper_product": self.upper_product,
-            "upper_simplified": self.upper_simplified,
-            "log_upper_product": self.log_upper_product,
-            "log_upper_simplified": self.log_upper_simplified,
-            "jmax_dimension": self.jmax_dimension,
-            "log_jmax_dimension": self.log_jmax_dimension,
-            "torus_radii": list(self.torus_radii),
-            "max_epsilon": self.max_epsilon,
-            "preconditions": dict(self.preconditions),
-            "support_dropped": list(self.support_dropped),
-        }
-        if self.distance_ceiling is not None:
-            d["distance_ceiling"] = self.distance_ceiling
-            d["ceiling_norm"] = self.ceiling_norm
+        d = asdict(self)
+        if self.distance_ceiling is None:
+            del d["distance_ceiling"], d["ceiling_norm"]
         return d
 
 
@@ -111,25 +92,20 @@ def sin_power_integral(m: int, x: float) -> float:
     precision, so the result is correct to double-precision rounding
     even for large m.
     """
-    if m < 0 or not isinstance(m, (int, np.integer)):
-        raise BadDomain("m must be a non-negative integer")
-    if not (0.0 <= x <= math.pi + 1e-15):
-        raise BadDomain(f"x = {x} outside [0, pi]")
-    return float(_sin_integral_mp(int(m), min(float(x), math.pi)))
+    return float(_sin_integral_mp(m, x))
 
 
 def log_sin_power_integral(m: int, x: float) -> float:
     """log of sin_power_integral; -inf at x = 0, finite otherwise."""
-    if m < 0:
-        raise BadDomain("m must be a non-negative integer")
-    if not (0.0 <= x <= math.pi + 1e-15):
-        raise BadDomain(f"x = {x} outside [0, pi]")
-    if x == 0.0:
-        return -math.inf
-    return float(mp.log(_sin_integral_mp(int(m), min(float(x), math.pi))))
+    return float(mp.log(_sin_integral_mp(m, x)))
 
 
 def _sin_integral_mp(m: int, x: float):
+    if m < 0 or not isinstance(m, (int, np.integer)):
+        raise BadDomain("m must be a non-negative integer")
+    if not (0.0 <= x <= math.pi + 1e-15):
+        raise BadDomain(f"x = {x} outside [0, pi]")
+    m, x = int(m), min(float(x), math.pi)
     # substitution u = sin^2 s gives 0.5 * B(sin^2 x; (m+1)/2, 1/2) on [0, pi/2];
     # the integrand is symmetric about pi/2.
     with mp.workdps(30):
@@ -170,11 +146,7 @@ def dimension_bound(n: int, epsilon: float) -> tuple[float, float]:
         + log_gamma_ratio(n * n, n * n + 0.5)
         - log_sin_power_integral(m, x)
     )
-    try:
-        jmax = math.exp(log_jmax)
-    except OverflowError:
-        jmax = math.inf
-    return jmax, log_jmax
+    return _safe_exp(log_jmax), log_jmax
 
 
 def log_cn(n: int) -> float:
@@ -201,20 +173,21 @@ def threshold_to_epsilon(threshold: float, convention: str) -> float:
 
 
 def reduce_to_support(
-    H: Hamiltonian, rho0: DensityMatrix, tol: float = SUPPORT_TOL
+    H: Hamiltonian, rho0: DensityMatrix
 ) -> tuple[Hamiltonian, DensityMatrix, tuple[int, ...]]:
-    """Drop basis states whose population is below tol.
+    """Drop basis states whose population is at most SUPPORT_TOL.
 
     Returns the reduced system and the indices that were dropped. The
-    reduced state is re-normalized (the dropped weight is below n*tol).
+    reduced state is re-normalized (the dropped weight is at most
+    n*SUPPORT_TOL).
     """
     p = rho0.populations
-    keep = np.flatnonzero(p > tol)
+    keep = np.flatnonzero(p > SUPPORT_TOL)
     if keep.size == rho0.dim:
         return H, rho0, ()
     if keep.size == 0:
         raise StationaryState("state has no support above tolerance")
-    dropped = tuple(int(i) for i in np.flatnonzero(p <= tol))
+    dropped = tuple(int(i) for i in np.flatnonzero(p <= SUPPORT_TOL))
     sub = rho0.matrix[np.ix_(keep, keep)]
     sub = sub / sub.trace().real
     return (
@@ -331,12 +304,6 @@ def truncated_bounds(
         ceiling = ceiling_base + 2.0 * trunc.P_N * (1.0 - epsilon**2)
     else:
         raise BadDomain(f"unknown mode {mode!r}")
-    return _with_ceiling(report, ceiling)
-
-
-def _with_ceiling(report: BoundReport, ceiling: float) -> BoundReport:
-    from dataclasses import replace
-
     return replace(report, distance_ceiling=ceiling, ceiling_norm="trace")
 
 

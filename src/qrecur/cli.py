@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -164,14 +165,11 @@ def _cmd_strobe(args) -> int:
     )
     _dump_json(
         {
+            **asdict(res),
             "epsilon": args.epsilon,
             "epsilon_convention": bounds.EPS_FIDELITY_FLOOR,
             "t": args.t,
-            "j_found": res.j_found,
             "t_rec": None if res.j_found is None else res.j_found * args.t,
-            "jmax_theory": res.jmax_theory,
-            "cap": res.cap,
-            "cap_exceeded": res.cap_exceeded,
         },
         args.output,
     )

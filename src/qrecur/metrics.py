@@ -28,8 +28,7 @@ class DistanceSample:
     torus_dist: float | None = None
 
     def __post_init__(self):
-        expected = float(np.sqrt(max(0.0, 2.0 - 2.0 * self.fidelity)))
-        if abs(self.bures - expected) > 1e-12:
+        if abs(self.bures - bures_from_fidelity(self.fidelity)) > 1e-12:
             raise ValueError("bures inconsistent with fidelity")
 
 
@@ -64,8 +63,14 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(float(sv.sum()), 0.0), 1.0)
 
 
+def bures_from_fidelity(f):
+    """Bures distance sqrt(2 - 2F) from the fidelity F, elementwise on a
+    scalar or an array; F above 1 by round-off gives 0."""
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.asarray(f)))
+
+
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * fidelity(rho, sigma))))
+    return float(bures_from_fidelity(fidelity(rho, sigma)))
 
 
 def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -95,10 +100,10 @@ def energy_stats(H: Hamiltonian, rho: DensityMatrix) -> tuple[float, float]:
     return mean, float(np.sqrt(max(0.0, var)))
 
 
-def fvg_check(
-    rho: DensityMatrix, sigma: DensityMatrix, slack: float = 1e-9
-) -> tuple[bool, bool]:
-    """Fuchs-van de Graaf: 1 - F <= T/2 <= sqrt(1 - F^2), trace norm T."""
+def fvg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[bool, bool]:
+    """Fuchs-van de Graaf: 1 - F <= T/2 <= sqrt(1 - F^2), trace norm T,
+    each side with a 1e-9 round-off allowance."""
+    slack = 1e-9
     f = fidelity(rho, sigma)
     half_t = trace_distance_norm(rho, sigma) / 2.0
     lower_ok = 1.0 - f <= half_t + slack
@@ -116,7 +121,7 @@ def distance_sample(
     return DistanceSample(
         t=float(t),
         fidelity=f,
-        bures=float(np.sqrt(max(0.0, 2.0 - 2.0 * f))),
+        bures=float(bures_from_fidelity(f)),
         trace_dist=trace_distance_norm(rho_t, rho0),
         hs_dist=hs_norm(rho_t.matrix - rho0.matrix),
         torus_dist=torus_dist,

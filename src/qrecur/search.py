@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import BoundReport
+from .bounds import SUPPORT_TOL, BoundReport
 from .errors import BadParameter, GridTooCoarse
 from .evolution import (
     CHUNK_BYTES,
@@ -39,7 +39,7 @@ from .evolution import (
     is_stationary,
     make_kernel,
 )
-from .metrics import DistanceSample
+from .metrics import DistanceSample, bures_from_fidelity, hs_norm, trace_distance_norm
 from .states import DensityMatrix, Hamiltonian
 from .torus import (
     torus_distance_series,
@@ -68,8 +68,8 @@ class Grid:
     steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.t0) and self.dt > 0 and self.steps >= 1):
-            raise BadParameter("need finite t0, dt > 0 and steps >= 1")
+        if not (np.isfinite(self.t0) and 0 < self.dt < math.inf and self.steps >= 1):
+            raise BadParameter("need finite t0, finite dt > 0 and steps >= 1")
 
     def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Times of the samples lo..hi-1 (default: all of them)."""
@@ -91,16 +91,8 @@ class RecurrenceResult:
 
     def to_dict(self) -> dict:
         return {
-            "threshold": self.threshold,
-            "t_departure": self.t_departure,
-            "t_rec": self.t_rec,
-            "grid": {"t0": self.grid.t0, "dt": self.grid.dt, "steps": self.grid.steps},
-            "stationary": self.stationary,
-            "no_departure_within_horizon": self.no_departure_within_horizon,
-            "refined": self.refined,
+            **asdict(self),
             "definition": "first grid time after the first departure below threshold",
-            "bracket_check": dict(self.bracket_check),
-            "diagnostics": dict(self.diagnostics),
         }
 
 
@@ -285,10 +277,10 @@ def _bisect_crossing(
     t_hi: float,
     threshold: float,
     rising: bool,
-    iterations: int = 10,
 ) -> float:
-    """Refine a threshold crossing bracketed by two grid samples."""
-    for _ in range(iterations):
+    """Refine a threshold crossing bracketed by two grid samples, in 10
+    halvings of the bracket."""
+    for _ in range(10):
         mid = (t_lo + t_hi) / 2.0
         f = float(fidelity_series(kernel, np.array([mid]))[0])
         above = f >= threshold
@@ -380,23 +372,23 @@ def collect_samples(
     many times there are."""
     kernel = make_kernel(H, rho0)
     torus = None
-    if np.all(rho0.populations > 1e-14):
+    if np.all(rho0.populations > SUPPORT_TOL):
         torus = torus_from_state(rho0)
         lam = float(H.energies @ rho0.populations)
-    rho0m = rho0.matrix
     for lo, hi in chunk_bounds(times.size, chunk_cap(40 * H.dim)):
         ts = times[lo:hi]
         f = fidelity_series(kernel, ts)
         if torus is not None:
             tdist = torus_distance_series(torus, torus_phase_at(H, lam, ts))
+        bures = bures_from_fidelity(f)
         for i, t in enumerate(ts):
-            diff = evolve(kernel, t).matrix - rho0m
+            rho_t = evolve(kernel, t)
             yield DistanceSample(
                 t=float(t),
                 fidelity=float(f[i]),
-                bures=float(np.sqrt(max(0.0, 2.0 - 2.0 * f[i]))),
-                trace_dist=float(np.abs(np.linalg.eigvalsh(diff)).sum()),
-                hs_dist=float(np.linalg.norm(diff)),
+                bures=float(bures[i]),
+                trace_dist=trace_distance_norm(rho_t, rho0),
+                hs_dist=hs_norm(rho_t.matrix - rho0.matrix),
                 torus_dist=float(tdist[i]) if torus is not None else None,
             )
 
@@ -412,8 +404,8 @@ def stroboscopic_recurrence(
     min(jmax_cap, ceil of the dimension-only ceiling)."""
     from .bounds import dimension_bound
 
-    if not t > 0:
-        raise BadParameter("t must be positive")
+    if not 0 < t < math.inf:
+        raise BadParameter("t must be finite and positive")
     jmax, _ = dimension_bound(rho0.dim, epsilon)
     cap = jmax_cap if math.isinf(jmax) else min(jmax_cap, math.ceil(jmax))
     kernel = make_kernel(H, rho0)
@@ -460,6 +452,5 @@ def torus_surrogate_scan(
     if rec is None:
         return None, True
     t = grid.times(rec, rec + 1)
-    f = float(fidelity_series(make_kernel(H, rho0), t)[0])
-    bures = math.sqrt(max(0.0, 2.0 - 2.0 * f))
-    return float(t[0]), bures <= r + 1e-9
+    bures = bures_from_fidelity(fidelity_series(make_kernel(H, rho0), t)[0])
+    return float(t[0]), bool(bures <= r + 1e-9)

@@ -58,7 +58,9 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated Hermitian, PSD, unit-trace matrix."""
+    """Density matrix: Hermitian, PSD, unit trace. The constructor only
+    stores the matrix read-only and checks none of these; build one from
+    raw entries with validate_density, which does."""
 
     matrix: np.ndarray = field(repr=False)
 

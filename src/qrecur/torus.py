@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import sin_power_integral
+from .bounds import SUPPORT_TOL, _safe_exp, sin_power_integral
 from .evolution import CHUNK_BYTES
 from .errors import (
     BadDomain,
@@ -50,12 +50,12 @@ class FlatTorus:
 def torus_from_state(rho0: DensityMatrix, reduce_support: bool = False) -> FlatTorus:
     """Torus with radii sqrt(p_k) from the populations of rho0."""
     p = rho0.populations
-    if np.any(p <= 1e-14):
+    if np.any(p <= SUPPORT_TOL):
         if not reduce_support:
             raise ZeroPopulation(
-                f"populations below tolerance at indices {np.flatnonzero(p <= 1e-14).tolist()}"
+                f"populations below tolerance at indices {np.flatnonzero(p <= SUPPORT_TOL).tolist()}"
             )
-        p = p[p > 1e-14]
+        p = p[p > SUPPORT_TOL]
     return FlatTorus(np.sqrt(p))
 
 
@@ -69,10 +69,9 @@ def wrap_angles(theta) -> np.ndarray:
 def torus_distance(torus: FlatTorus, theta) -> float:
     """Geodesic distance from the origin: sqrt(sum r_j^2 * wrap(theta_j)^2)."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != torus.dim:
+    if theta.shape != (torus.dim,):
         raise BadDomain(f"expected {torus.dim} angles, got {theta.shape}")
-    w = wrap_angles(theta)
-    return float(np.sqrt((torus.radii**2 * w**2).sum()))
+    return float(torus_distance_series(torus, theta[None, :])[0])
 
 
 def torus_distance_series(torus: FlatTorus, thetas: np.ndarray) -> np.ndarray:
@@ -100,10 +99,7 @@ def torus_volume(torus: FlatTorus) -> float:
     """(2 pi)^n times the product of the radii, via log space."""
     n = torus.dim
     log_v = n * math.log(2.0 * math.pi) + float(np.log(torus.radii).sum())
-    try:
-        return math.exp(log_v)
-    except OverflowError:
-        return math.inf
+    return _safe_exp(log_v)
 
 
 def sphere_ball_volume(n: int, r: float) -> float:
@@ -137,10 +133,7 @@ def tube_volume(n: int, theta: float, length: float) -> float:
         + (n - 1) * math.log(theta)
         + math.log(length)
     )
-    try:
-        return math.exp(log_v)
-    except OverflowError:
-        return math.inf
+    return _safe_exp(log_v)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,10 @@ from .truncation import delta_time_invariance_check, truncate
 # oracles
 
 
-def simpson_sin_power(m: int, x: float, panels: int = 1_000_000) -> float:
-    """Composite-Simpson integral of sin^m over [0, x]; the quadrature
-    oracle for the special-function suite."""
+def simpson_sin_power(m: int, x: float) -> float:
+    """Composite-Simpson integral of sin^m over [0, x] on 10^6 panels; the
+    quadrature oracle for the special-function suite."""
+    panels = 1_000_000
     if x == 0.0:
         return 0.0
     s = np.linspace(0.0, x, 2 * panels + 1)
@@ -132,7 +133,7 @@ class _SubmersionCheck:
     def watch(self, chunks):
         """Pass (lo, times, F) chunks through, checking each on the way."""
         for lo, times, f in chunks:
-            bures = np.sqrt(np.clip(2.0 - 2.0 * f, 0.0, None))
+            bures = metrics.bures_from_fidelity(f)
             tdist = torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
             start = times == 0.0
             if start.any():
@@ -320,7 +321,7 @@ def truncation_suite(
         H_N = states.Hamiltonian(H.energies[:N], H.hbar)
         eps = 0.8 * math.pi * float(np.sqrt(trunc.sigma_tilde.populations.min()))
         try:
-            sub_report = bounds.energy_bounds(H_N, trunc.sigma_tilde, eps)
+            sub_report = bounds.truncated_bounds(H, trunc, eps, "energy")
         except (StationaryState, PreconditionViolated):
             stationary += 1
             continue
@@ -334,9 +335,7 @@ def truncation_suite(
             continue
         rho_t = evolve(make_kernel(H, rho0), res.t_rec).matrix
         measured_hs = float(np.linalg.norm(rho_t - rho0.matrix))
-        ceiling = 2.0 * math.sqrt(trunc.delta_N) + math.sqrt(
-            2.0
-        ) * trunc.P_N * eps * math.sqrt(1.0 - eps**2 / 8.0)
+        ceiling = sub_report.distance_ceiling
         if measured_hs > ceiling + 1e-9:
             ceiling_failures.append(
                 {"instance": i, "measured_hs": measured_hs, "ceiling": ceiling}

@@ -255,6 +255,14 @@ class TestStrobe:
         assert out["t_rec"] == pytest.approx(2.0 * math.pi)
 
 
+    def test_infinite_step_is_refused(self, qubit_json, capsys):
+        code, out = run_json(
+            ["strobe", "--input", qubit_json, "--epsilon", "0.9", "--t", "inf"], capsys
+        )
+        assert code == 1
+        assert out["error"] == "BadParameter"
+
+
 class TestTruncate:
     def test_explicit_N(self, mixed3_json, capsys):
         code, out = run_json(
@@ -397,3 +405,69 @@ class TestStrictJson:
             json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert main(["verify", "--suite", "special_functions", "--output", str(verify_path)]) == 0
         json.loads(verify_path.read_text(), parse_constant=_reject_constant)
+
+
+BOUND_KEYS = {
+    "energy_uncertainty", "epsilon", "epsilon_convention", "hbar",
+    "jmax_dimension", "lambda_shift", "log_jmax_dimension", "log_upper_product",
+    "log_upper_simplified", "lower_mt", "max_epsilon", "n", "preconditions",
+    "support_dropped", "torus_radii", "upper_product", "upper_simplified",
+}
+TRUNCATE_KEYS = {
+    "N", "P_N", "bounds", "complement_hs_sq", "delta_N", "kept_indices", "norm",
+    "permutation", "sigma_tilde",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, keys, nested",
+    [
+        (
+            ["bounds", "--input", "QUBIT", "--threshold", "0.999"],
+            BOUND_KEYS | {"estimates", "threshold"},
+            {"estimates": {"bhattacharyya", "note", "peres"}},
+        ),
+        (
+            ["search", "--input", "QUBIT", "--threshold", "0.999", "--horizon", "7.0"],
+            {
+                "bounds", "bracket_check", "definition", "diagnostics", "epsilon",
+                "epsilon_convention", "grid", "hbar", "no_departure_within_horizon",
+                "norms", "refined", "stationary", "t_departure", "t_rec", "threshold",
+            },
+            {
+                "bounds": BOUND_KEYS,
+                "bracket_check": {"lower_mt", "lower_ok", "upper_ok", "upper_product"},
+                "diagnostics": {"chunks", "missable_depth", "samples_evaluated"},
+                "grid": {"dt", "steps", "t0"},
+            },
+        ),
+        (
+            ["strobe", "--input", "QUBIT", "--epsilon", "0.9", "--t", str(2.0 * math.pi)],
+            {
+                "cap", "cap_exceeded", "epsilon", "epsilon_convention", "j_found",
+                "jmax_theory", "t", "t_rec",
+            },
+            {},
+        ),
+        (
+            ["truncate", "--input", "MIXED3", "--N", "2", "--epsilon", "0.5", "--mode", "energy"],
+            TRUNCATE_KEYS,
+            {"bounds": BOUND_KEYS | {"ceiling_norm", "distance_ceiling"}},
+        ),
+        (
+            ["truncate", "--input", "MIXED3", "--N", "2", "--epsilon", "0.9", "--mode", "dimension"],
+            TRUNCATE_KEYS,
+            {"bounds": BOUND_KEYS | {"ceiling_norm", "distance_ceiling"}},
+        ),
+    ],
+    ids=["bounds", "search", "strobe", "truncate-energy", "truncate-dimension"],
+)
+def test_report_key_sets(argv, keys, nested, qubit_json, mixed3_json, capsys):
+    """The exact keys of each report, so a field added to or dropped from a
+    result dataclass shows up as a schema change."""
+    paths = {"QUBIT": qubit_json, "MIXED3": mixed3_json}
+    code, out = run_json([paths.get(a, a) for a in argv], capsys)
+    assert code == 0
+    assert set(out) == keys
+    for key, sub in nested.items():
+        assert set(out[key]) == sub

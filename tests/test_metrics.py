@@ -22,7 +22,7 @@ from qrecur import (
     validate_density,
 )
 from qrecur.errors import DimensionMismatch
-from qrecur.metrics import gram_factor
+from qrecur.metrics import bures_from_fidelity, gram_factor
 
 
 def basis(i):
@@ -73,6 +73,18 @@ class TestBures:
 
     def test_orthogonal_maximum(self):
         assert bures_distance(basis(0), basis(1)) == pytest.approx(math.sqrt(2.0))
+
+    def test_from_fidelity_scalar_and_array(self):
+        assert bures_from_fidelity(0.5) == 1.0
+        # round-off can push F just above 1; the distance is then 0, not nan
+        assert bures_from_fidelity(1.0 + 4e-16) == 0.0
+        f = np.array([0.0, 0.5, 1.0, 1.0 + 4e-16])
+        assert np.array_equal(bures_from_fidelity(f), [math.sqrt(2.0), 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_from_fidelity_matches_bures_distance(self, seed):
+        a, b = random_state(3, seed), random_state(3, seed + 100)
+        assert bures_from_fidelity(fidelity(a, b)) == bures_distance(a, b)
 
 
 class TestTraceDistance:

@@ -43,6 +43,10 @@ class TestGrid:
         with pytest.raises(BadParameter):
             Grid(0.0, 0.1, 0)
 
+    def test_infinite_step_is_refused(self):
+        with pytest.raises(BadParameter):
+            Grid(0.0, math.inf, 10)
+
 
 class TestDefaultDt:
     def test_quarter_period_of_fastest_line(self):

@@ -89,6 +89,14 @@ class TestTorusDistance:
         for row, d in zip(thetas, series):
             assert d == pytest.approx(torus_distance(t, row), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 17, 200])
+    def test_scalar_is_a_series_row_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        t = FlatTorus(rng.uniform(0.05, 1.0, size=n))
+        thetas = rng.uniform(-10, 10, size=(10, n))
+        series = torus_distance_series(t, thetas)
+        assert [torus_distance(t, row) for row in thetas] == series.tolist()
+
     def test_shape_mismatch(self):
         with pytest.raises(BadDomain):
             torus_distance(FlatTorus(np.array([1.0])), [0.1, 0.2])
