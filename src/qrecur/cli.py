@@ -34,7 +34,7 @@ from .torus import (
 )
 from .truncation import choose_N, truncate
 
-MAX_AUTO_SAMPLES = 10_000_000
+MAX_AUTO_SAMPLES = 10_000_000  # grid samples; explicit grids above it are refused
 MAX_CSV_SAMPLES = 200_000
 
 
@@ -102,7 +102,16 @@ def _resolve_grid(args, H, report) -> Grid:
     steps = math.ceil(horizon / dt)
     if args.horizon == "auto":
         steps = min(MAX_AUTO_SAMPLES, steps)
+    _refuse_over_limit(f"--horizon {args.horizon} at --dt {args.dt}", steps)
     return Grid(args.t0, dt, steps)
+
+
+def _refuse_over_limit(what: str, samples: int):
+    if samples > MAX_AUTO_SAMPLES:
+        raise BadParameter(
+            f"{what} is {samples:.15g} grid samples, over the limit of "
+            f"MAX_AUTO_SAMPLES = {MAX_AUTO_SAMPLES}"
+        )
 
 
 def _cmd_search(args) -> int:
@@ -160,6 +169,7 @@ def _write_csv(path: str, samples):
 
 def _cmd_strobe(args) -> int:
     H, rho0 = _load_system(args.input)
+    _refuse_over_limit(f"--jmax-cap {args.jmax_cap}", args.jmax_cap)
     res = stroboscopic_recurrence(
         H, rho0, args.epsilon, args.t, jmax_cap=args.jmax_cap
     )

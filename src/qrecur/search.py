@@ -39,7 +39,8 @@ from .evolution import (
     is_stationary,
     make_kernel,
 )
-from .metrics import DistanceSample, bures_from_fidelity, hs_norm, trace_distance_norm
+from .metrics import DistanceSample, bures_from_fidelity, bures_hp, gram_factor
+from .metrics import hs_norm, trace_distance_norm
 from .states import DensityMatrix, Hamiltonian
 from .torus import (
     torus_distance_series,
@@ -406,6 +407,8 @@ def stroboscopic_recurrence(
 
     if not 0 < t < math.inf:
         raise BadParameter("t must be finite and positive")
+    if jmax_cap < 1:
+        raise BadParameter(f"jmax_cap must be >= 1, got {jmax_cap}")
     jmax, _ = dimension_bound(rho0.dim, epsilon)
     cap = jmax_cap if math.isinf(jmax) else min(jmax_cap, math.ceil(jmax))
     kernel = make_kernel(H, rho0)
@@ -432,9 +435,9 @@ def torus_surrogate_scan(
 
     Returns (t, bures_ok): by the submersion inequality, the Bures
     distance at the returned time is <= r as well; bures_ok records the
-    explicit check. The distances are scanned in the chunk schedule of
-    the fidelity scan; at its peak a sample holds up to five float rows
-    of n angles (40 n bytes).
+    explicit check, re-done at 40 digits where float64 flags it. The
+    distances are scanned in the chunk schedule of the fidelity scan; at
+    its peak a sample holds up to five float rows of n angles (40 n bytes).
     """
     if not r > 0:
         raise BadParameter("need r > 0")
@@ -452,5 +455,7 @@ def torus_surrogate_scan(
     if rec is None:
         return None, True
     t = grid.times(rec, rec + 1)
-    bures = bures_from_fidelity(fidelity_series(make_kernel(H, rho0), t)[0])
-    return float(t[0]), bool(bures <= r + 1e-9)
+    bures = float(bures_from_fidelity(fidelity_series(make_kernel(H, rho0), t)[0]))
+    if bures > r + 1e-9:  # float64 noise near F = 1; re-check at 40 digits
+        bures = bures_hp(gram_factor(rho0.matrix), H.energies, H.hbar, float(t[0]))
+    return float(t[0]), bures <= r + 1e-9

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath as mp
 import numpy as np
 
 from . import bounds, metrics, search, states, torus
@@ -71,48 +70,6 @@ def monte_carlo_cap_volume(n: int, r: float, samples: int, seed: int) -> float:
     return full * hits / samples
 
 
-def _sqrt_rho_mp(rho0: np.ndarray):
-    """High-precision Hermitian square root, for re-checking borderline
-    fidelity values beyond double precision."""
-    with mp.workdps(40):
-        m = mp.matrix([[mp.mpc(z) for z in row] for row in rho0])
-        # the float64 entries carry an O(eps) trace defect that would put a
-        # sqrt(eps) floor under the Bures distance; renormalize exactly
-        m = m / mp.re(sum(m[k, k] for k in range(m.rows)))
-        vals, vecs = mp.eighe(m)
-        root = mp.diag([mp.sqrt(max(v, mp.mpf(0))) for v in vals])
-        return vecs * root * vecs.H
-
-
-def _bures_hp(sqrt_rho, energies: np.ndarray, hbar: float, t: float) -> float:
-    """Bures distance between rho0 and its phase evolution at time t.
-
-    The fidelity is the nuclear norm of sqrt(rho0) U(t) sqrt(rho0); both
-    it and sqrt(2 - 2F) are formed at 40 working digits, because near
-    F = 1 the square root amplifies double-precision noise to ~1e-8.
-    """
-    with mp.workdps(40):
-        phases = mp.diag(
-            [mp.exp(mp.mpc(0, -1) * mp.mpf(e) * mp.mpf(t) / mp.mpf(hbar)) for e in energies]
-        )
-        a = sqrt_rho * phases * sqrt_rho
-        sv = mp.svd_c(a, compute_uv=False)
-        deficit = max(2 - 2 * sum(sv), mp.mpf(0))
-        return float(mp.sqrt(deficit))
-
-
-def _submersion_excess_hp(
-    sqrt_rho, energies: np.ndarray, hbar: float, times: np.ndarray, tdist: np.ndarray
-) -> float:
-    """Largest (Bures - torus distance) over the given samples, with the
-    fidelity recomputed in high precision."""
-    worst = -math.inf
-    for t, d in zip(times, tdist):
-        bures = _bures_hp(sqrt_rho, energies, hbar, float(t))
-        worst = max(worst, bures - float(d))
-    return worst
-
-
 class _SubmersionCheck:
     """Per-chunk check on a fidelity scan: tracks the largest excess of the
     Bures distance over the torus distance (the submersion inequality
@@ -120,15 +77,15 @@ class _SubmersionCheck:
 
     float64 fidelity noise inflates near-zero Bures distances by
     ~sqrt(eps), so samples that look like violations are re-checked with
-    the fidelity recomputed at 40 digits. At t = 0, where rho(0) = rho0,
-    the exact Bures distance 0 is used instead.
+    metrics.bures_hp, the scan's fidelity formula at 40 digits. At t = 0,
+    where rho(0) = rho0, the exact Bures distance 0 is used instead.
     """
 
     def __init__(self, H, rho0, lam: float):
-        self.H, self.rho0, self.lam = H, rho0, lam
+        self.H, self.lam = H, lam
+        self.w = metrics.gram_factor(rho0.matrix)
         self.torus = torus_from_state(rho0)
         self.excess = -math.inf
-        self._sqrt_rho_hp = None
 
     def watch(self, chunks):
         """Pass (lo, times, F) chunks through, checking each on the way."""
@@ -138,15 +95,9 @@ class _SubmersionCheck:
             start = times == 0.0
             if start.any():
                 self.excess = max(self.excess, float((0.0 - tdist[start]).max()))
-            flagged = np.flatnonzero((bures > tdist + 1e-9) & ~start)
-            if flagged.size:
-                if self._sqrt_rho_hp is None:
-                    self._sqrt_rho_hp = _sqrt_rho_mp(self.rho0.matrix)
-                worst = _submersion_excess_hp(
-                    self._sqrt_rho_hp, self.H.energies, self.H.hbar,
-                    times[flagged], tdist[flagged],
-                )
-                self.excess = max(self.excess, worst)
+            for j in np.flatnonzero((bures > tdist + 1e-9) & ~start):
+                hp = metrics.bures_hp(self.w, self.H.energies, self.H.hbar, float(times[j]))
+                self.excess = max(self.excess, hp - float(tdist[j]))
             yield lo, times, f
 
 

@@ -11,12 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from qrecur import verify
+from qrecur import search, verify
 from qrecur.cli import main
-from qrecur.search import Grid, default_dt, fidelity_series
+from qrecur.search import Grid, default_dt
 from qrecur.evolution import make_kernel
 from qrecur.states import pure_state, qubit_hamiltonian
-from qrecur.torus import torus_distance_series, torus_from_state, torus_phase_at
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -125,24 +124,13 @@ def test_criterion_08_submersion_inequality(ensemble):
     # ensemble grids (criterion 2) accumulate the worst Bures-minus-torus
     # excess, re-checked at 40 digits when float64 flags a sample
     ens_ok = ensemble["submersion_excess"] <= 1e-9
-    # criterion-1 grid, checked directly
+    # criterion-1 grid, through the same check: float64 flags, 40-digit re-check
     H = qubit_hamiltonian(1.0)
     rho0 = pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    grid = Grid(0.0, default_dt(H), 64)
-    times = grid.times()
-    f = fidelity_series(make_kernel(H, rho0), times)
-    bures = np.sqrt(np.clip(2.0 - 2.0 * f, 0.0, None))
-    tor = torus_from_state(rho0)
-    lam = float(H.energies @ rho0.populations)
-    tdist = torus_distance_series(tor, torus_phase_at(H, lam, times))
-    qubit_excess = float((bures - tdist).max())
-    if qubit_excess > 1e-9:
-        # float64 noise near F = 1; re-check flagged samples at 40 digits
-        flagged = np.flatnonzero(bures > tdist + 1e-9)
-        sqrt_rho = verify._sqrt_rho_mp(rho0.matrix)
-        qubit_excess = verify._submersion_excess_hp(
-            sqrt_rho, H.energies, H.hbar, times[flagged], tdist[flagged]
-        )
+    check = verify._SubmersionCheck(H, rho0, float(H.energies @ rho0.populations))
+    for _ in check.watch(search.scan(make_kernel(H, rho0), Grid(0.0, default_dt(H), 64))):
+        pass
+    qubit_excess = check.excess
     ok = ens_ok and qubit_excess <= 1e-9
     _report(
         8,

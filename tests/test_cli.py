@@ -1,10 +1,15 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qrecur.cli import main
+from qrecur import bounds
+from qrecur.cli import MAX_AUTO_SAMPLES, _load_system, _resolve_grid, main
 
 
 @pytest.fixture
@@ -236,6 +241,50 @@ class TestSearch:
         assert f"{flag} {value}" in out["message"]
 
 
+def run_cli_bounded(argv, timeout=30.0):
+    """Run qrecur in a child process, so a scan that never ends fails the
+    test at the timeout instead of hanging it."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrecur.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    return proc.returncode, json.loads(proc.stdout)
+
+
+class TestSampleLimit:
+    @pytest.mark.parametrize(
+        "grid, count",
+        [(["--dt", "1e-300", "--horizon", "1"], "1e+300"), (["--horizon", "1e9"], "1273239545")],
+    )
+    def test_explicit_grid_over_the_limit_is_refused(self, qubit_json, grid, count):
+        code, out = run_cli_bounded(
+            ["search", "--input", qubit_json, "--threshold", "0.999", *grid]
+        )
+        assert code == 1
+        assert out["error"] == "BadParameter"
+        assert "--horizon" in out["message"] and count in out["message"]
+        assert str(MAX_AUTO_SAMPLES) in out["message"]
+
+    def test_jmax_cap_over_the_limit_is_refused(self, qubit_json):
+        code, out = run_cli_bounded(
+            ["strobe", "--input", qubit_json, "--epsilon", "1.0", "--t", "0.37",
+             "--jmax-cap", "1000000000000"]
+        )
+        assert code == 1
+        assert out["error"] == "BadParameter"
+        assert "--jmax-cap 1000000000000" in out["message"]
+        assert str(MAX_AUTO_SAMPLES) in out["message"]
+
+    def test_auto_horizon_is_capped_silently(self, qubit_json):
+        H, rho0 = _load_system(qubit_json)
+        args = argparse.Namespace(dt="1e-300", horizon="auto", t0=0.0)
+        report = bounds.energy_bounds(H, rho0, 0.5)
+        assert _resolve_grid(args, H, report).steps == MAX_AUTO_SAMPLES
+
+
 class TestStrobe:
     def test_exact_period(self, qubit_json, capsys):
         code, out = run_json(
@@ -261,6 +310,17 @@ class TestStrobe:
         )
         assert code == 1
         assert out["error"] == "BadParameter"
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_refused(self, qubit_json, capsys, cap):
+        code, out = run_json(
+            ["strobe", "--input", qubit_json, "--epsilon", "0.9", "--t", "0.37",
+             "--jmax-cap", cap],
+            capsys,
+        )
+        assert code == 1
+        assert out["error"] == "BadParameter"
+        assert f"jmax_cap must be >= 1, got {cap}" == out["message"]
 
 
 class TestTruncate:

@@ -186,6 +186,12 @@ class TestStroboscopic:
         with pytest.raises(BadParameter):
             stroboscopic_recurrence(H, rho0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_refused(self, cap):
+        H, rho0 = qubit()
+        with pytest.raises(BadParameter, match="jmax_cap"):
+            stroboscopic_recurrence(H, rho0, 0.9, 0.37, jmax_cap=cap)
+
 
 class TestTorusSurrogate:
     def test_qubit_surrogate_is_exact_witness(self):
@@ -210,6 +216,16 @@ class TestTorusSurrogate:
         rho0 = validate_density(np.array([[1.0 + 0.0j]]))
         t_surr, bures_ok = torus_surrogate_scan(H, rho0, 0.5, Grid(0.3, 0.1, 100))
         assert t_surr == pytest.approx(0.3)
+        assert bures_ok
+
+    @pytest.mark.parametrize("energies", [[0.0, 4.0], [0.0, 1.2], [1.4, 2.1]])
+    def test_float64_noise_at_the_return_is_no_violation(self, energies):
+        # the torus returns to ~1e-15 while float64 puts Bures at ~3e-8,
+        # above r = 1e-8; the 40-digit re-check shows Bures <= r
+        H = Hamiltonian(np.array(energies))
+        rho0 = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        t_surr, bures_ok = torus_surrogate_scan(H, rho0, 1e-8, Grid(0.0, default_dt(H), 400))
+        assert t_surr is not None and t_surr > 0.0
         assert bures_ok
 
     @settings(max_examples=10, deadline=None)

@@ -31,8 +31,11 @@ from qrecur.errors import (
     NotMeasurePreserving,
     ZeroPopulation,
 )
+from qrecur import metrics as metrics_module
 from qrecur import torus as torus_module
 from qrecur import verify
+from qrecur.metrics import bures_from_fidelity, bures_hp, gram_factor
+from qrecur.search import Grid, default_dt, fidelity_series, scan
 from qrecur.torus import torus_distance_series
 
 
@@ -126,6 +129,20 @@ class TestTorusPhase:
         assert out.shape == (3, 2)
 
 
+@pytest.fixture
+def rechecked(monkeypatch):
+    """The times verify sends to the 40-digit re-check, in call order."""
+    times = []
+    original = metrics_module.bures_hp
+
+    def recording(w, energies, hbar, t):
+        times.append(t)
+        return original(w, energies, hbar, t)
+
+    monkeypatch.setattr(metrics_module, "bures_hp", recording)
+    return times
+
+
 class TestSubmersionInequality:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 500), t=st.floats(0.0, 30.0))
@@ -135,24 +152,43 @@ class TestSubmersionInequality:
         lam = float(H.energies @ rho0.populations)
         d_torus = torus_distance(torus, torus_phase_at(H, lam, t))
         d_bures = bures_distance(rho0, evolve(make_kernel(H, rho0), t))
-        # float64 fidelity noise can push bures above by ~sqrt(eps); the
-        # verification suite re-checks flagged samples at high precision
-        assert d_bures <= d_torus + 2e-6
+        if d_bures > d_torus + 1e-9:
+            # float64 fidelity noise can push bures up by ~sqrt(eps)
+            d_bures = bures_hp(gram_factor(rho0.matrix), H.energies, H.hbar, t)
+        assert d_bures <= d_torus + 1e-9
 
-    def test_ensemble_takes_the_exact_value_at_t_zero(self, monkeypatch):
+    def test_ensemble_takes_the_exact_value_at_t_zero(self, rechecked):
         # rho(0) = rho0, so the Bures distance there is exactly 0: no t = 0
         # sample goes to the 40-digit re-check
-        rechecked = []
-
-        def recording(sqrt_rho, energies, hbar, times, tdist):
-            rechecked.extend(times)
-            return original(sqrt_rho, energies, hbar, times, tdist)
-
-        original = verify._submersion_excess_hp
-        monkeypatch.setattr(verify, "_submersion_excess_hp", recording)
         res = verify.bracket_ensemble_suite(count=20, seed=42)
         assert res["checked"] > 0 and res["submersion_excess"] == 0.0
         assert 0.0 not in rechecked
+
+    @pytest.mark.parametrize(
+        "energies, rho",
+        [
+            ([0.0, 4.0], np.full((2, 2), 0.5)),
+            ([0.0, 1.0, 2.0, 3.0], 0.6 * np.full((4, 4), 0.25) + 0.1 * np.eye(4)),
+        ],
+        ids=["pure", "mixed"],
+    )
+    def test_commensurate_flags_are_rechecked_at_40_digits(self, rechecked, energies, rho):
+        # at exact revivals the torus distance is ~1e-15 while float64 puts
+        # the Bures distance at ~3e-8; the 40-digit re-check settles them
+        H, rho0 = Hamiltonian(np.array(energies)), validate_density(rho.astype(complex))
+        kernel = make_kernel(H, rho0)
+        grid = Grid(0.0, default_dt(H), 4000)
+        lam = float(H.energies @ rho0.populations)
+        times = grid.times()
+        bures = bures_from_fidelity(fidelity_series(kernel, times))
+        tdist = torus_distance_series(torus_from_state(rho0), torus_phase_at(H, lam, times))
+        flagged = np.flatnonzero((bures > tdist + 1e-9) & (times > 0.0))
+        assert flagged.size > 0
+        check = verify._SubmersionCheck(H, rho0, lam)
+        for _ in check.watch(scan(kernel, grid)):
+            pass
+        assert rechecked == times[flagged].tolist()
+        assert check.excess <= 1e-9
 
 
 class TestVolumes:
