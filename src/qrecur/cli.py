@@ -21,7 +21,13 @@ import numpy as np
 
 from . import bounds, search, verify
 from .errors import BadParameter, QrecurError
-from .search import Grid, default_dt, find_recurrence, stroboscopic_recurrence
+from .search import (
+    MAX_AUTO_SAMPLES,
+    Grid,
+    default_dt,
+    find_recurrence,
+    stroboscopic_recurrence,
+)
 from .states import system_from_dict
 from .torus import (
     FiniteMetricSpace,
@@ -34,7 +40,6 @@ from .torus import (
 )
 from .truncation import choose_N, truncate
 
-MAX_AUTO_SAMPLES = 10_000_000  # grid samples; explicit grids above it are refused
 MAX_CSV_SAMPLES = 200_000
 
 

@@ -8,13 +8,31 @@ needs n phases and one r x r nuclear norm, with r the rank of rho0 (see
 `fidelity_series`). The torus surrogate walks the same chunks with the
 torus distance in place of F.
 
-Given a threshold, `scan` skips the samples the quantum speed limit
-already proves below it: the Bures angle arccos F moves at most dE/hbar
-per unit time, so one sample far from the threshold clears its
-neighbours (see `_pruned_series`). For a mixed rho0 it also skips the
-r x r nuclear norm wherever the super-fidelity ceiling
-F^2 <= tr rho0 rho(t) + 1 - tr rho0^2, one n x n quadratic form in the
-phase row, already proves F below the threshold.
+Given a threshold, `scan` skips the samples it can prove below
+threshold - SLACK, in three steps:
+
+- The torus-window sieve (see `_sieve_pairs` and `_torus_windows`). At
+  unit trace F^2 <= (tr rho)^2 - sum over k != k' of
+  a_kk' (1 - cos w_kk' t), with a_kk' = |rho_kk'|^2 and w_kk' the Bohr
+  frequency, and every term is >= 0. So a return needs
+  2 a_kk' (1 - cos w_kk' t) <= b = (tr rho)^2 - (threshold - SLACK)^2
+  (plus a rounding margin) for each pair. A pair with 4 a_kk' > b and
+  w_kk' != 0 is active: it confines t to windows |w t - 2 pi q| <=
+  arccos(1 - b/2a), widened by a pad for the rounding of the phases,
+  which grows with |t| (see PHASE_PAD). The windows of the active pairs
+  are intersected once per scan, by increasing |w|, in blocks of grid
+  indices that keep them within CHUNK_BYTES; a chunk with no surviving
+  sample is not evaluated at all.
+- The speed limit, on the samples the sieve leaves: the Bures angle
+  arccos F moves at most dE/hbar per unit time, so one sample far from
+  the threshold clears its neighbours (see `_pruned_series`).
+- For a mixed rho0, the super-fidelity ceiling
+  F^2 <= tr rho0 rho(t) + 1 - tr rho0^2, one n x n quadratic form in the
+  phase row, skips the r x r nuclear norm where it already proves F
+  below the threshold.
+
+A skipped sample reads F = -inf, so every test F >= threshold reads the
+same as on the exhaustive scan.
 
 One rule, `_first_crossing`, reads every departure and return. The
 operational definition, recorded in every report, is: t_departure is
@@ -49,8 +67,26 @@ from .torus import (
 )
 
 CHUNK_START = 256  # samples in a scan's first chunk; later chunks double
+# Grid samples one search may ask for: the CLI cuts an auto horizon to it
+# and refuses longer explicit grids; stroboscopic_recurrence refuses a
+# larger jmax_cap
+MAX_AUTO_SAMPLES = 10_000_000
 # Fidelity margin of a skipped sample: far above the kernel's ~1e-12 error
 SLACK = 1e-9
+# Angle pad of the window sieve, in eps per radian of T W + pi (steps + 1),
+# with T = |t0| + dt steps and W = 2 max|l_k| >= |l_k| + |l_k'|. In units
+# u = eps/2: the kernel's phase of level k at sample j is fl(t_j l_k), with
+# t_j = fl(t0 + fl(dt j)) within 2u T of t0 + dt j, so a pair's phase
+# difference is within 3u T W of (t0 + dt j) w. The sieve's own rounding
+# adds u T W for w = l_k - l_k', u T W for alpha = w t0, u T W for
+# j fl(w dt), u (T W + 2 pi steps) for reducing w dt modulo fl(2 pi),
+# 4u (2 T W + pi steps + 2 pi) for the window ends in j,
+# u (T W + pi steps + 2 pi) for 2 pi q and 4 pi u for delta: in all under
+# 8.1 eps T W + 3.5 pi eps steps + 7 pi eps, half of what the pad allows.
+PHASE_PAD = 16.0
+SIEVE_PAIRS = 16  # level pairs the window sieve intersects at most
+SIEVE_DONE = 8  # the sieve stops once this few grid samples survive
+SIEVE_BYTES = 128  # peak temporary bytes per window while the sieve intersects
 
 
 def _g_rounding(n: int) -> float:
@@ -161,13 +197,16 @@ def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
 
 
 def _chunks(
-    grid: Grid, cap: int, series: Callable[[np.ndarray], np.ndarray], start: int = 0
+    grid: Grid, cap: int, series: Callable[[np.ndarray], np.ndarray]
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (lo, times, series(times)) over grid samples start..steps-1
-    in the blocks of chunk_bounds; lo is the grid index of times[0]."""
-    for lo, hi in chunk_bounds(grid.steps, cap, start):
+    """Yield (lo, times, series(times)) over the grid in the blocks of
+    chunk_bounds; lo is the grid index of times[0]."""
+    for lo, hi in chunk_bounds(grid.steps, cap):
         ts = grid.times(lo, hi)
         yield lo, ts, series(ts)
+
+
+_COUNTS = ("samples_evaluated", "samples_sieved", "chunks")  # kept by _scan
 
 
 def scan(
@@ -177,15 +216,143 @@ def scan(
     chunks (see chunk_bounds). Stop iterating to stop the scan.
 
     Without a threshold every sample is evaluated. With one, a sample the
-    speed limit proves to have F <= threshold - SLACK is not evaluated
-    and carries F = -inf; every other value is the one fidelity_series
-    gives, so a test F >= threshold reads the same on both.
+    window sieve or the speed limit proves to have F <= threshold - SLACK
+    is not evaluated and carries F = -inf; every other value is the one
+    fidelity_series gives, so a test F >= threshold reads the same on both.
     """
+    return _scan(kernel, grid, start, threshold, dict.fromkeys(_COUNTS, 0))
+
+
+def _scan(
+    kernel: EvolutionKernel, grid: Grid, start: int, threshold: float | None, counts: dict
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """scan, adding to counts the chunks read, the samples evaluated in
+    them (the finite F) and the samples the window sieve excluded."""
     cap = chunk_cap(sample_bytes(kernel.dim, kernel.rank))
     theta = kernel.speed * grid.dt
-    if threshold is None or theta == 0.0:
-        return _chunks(grid, cap, lambda ts: fidelity_series(kernel, ts), start)
-    return _chunks(grid, cap, lambda ts: _pruned_series(kernel, ts, threshold, theta), start)
+    pruned = threshold is not None and theta > 0.0
+    pairs = _sieve_pairs(kernel, grid, threshold) if pruned else []
+    runs, sieved_to = None, start
+    for lo, hi in chunk_bounds(grid.steps, cap, start):
+        ts = grid.times(lo, hi)
+        if not pruned:
+            f = fidelity_series(kernel, ts)
+        else:
+            if pairs and hi > sieved_to:
+                runs, sieved_to = _torus_windows(pairs, lo, hi, grid.steps)
+            todo = _survivors(runs, lo, hi)
+            counts["samples_sieved"] += ts.size - int(np.count_nonzero(todo))
+            if todo.any():
+                f = _pruned_series(kernel, ts, threshold, theta, todo)
+            else:
+                f = np.full(ts.size, -np.inf)
+        counts["chunks"] += 1
+        counts["samples_evaluated"] += int(np.isfinite(f).sum())
+        yield lo, ts, f
+
+
+def _sieve_pairs(
+    kernel: EvolutionKernel, grid: Grid, threshold: float
+) -> list[tuple[float, float, float]]:
+    """(delta, phi, alpha) of the level pairs the window sieve intersects,
+    by increasing |w|: the first SIEVE_PAIRS active pairs whose windows
+    leave gaps on the grid.
+
+    F^2 <= G(t) = (tr rho)^2 - sum over k != k' of a_kk' (1 - cos w_kk' t),
+    with a = kernel.coherence and w_kk' = l_k - l_k', and every term of
+    the sum is >= 0. So F >= threshold - SLACK needs
+    2 a_kk' (1 - cos w_kk' t) <= b = (tr rho)^2 - (threshold - SLACK)^2
+    + _g_rounding(n) for each pair. A pair with 4 a_kk' > b and w_kk' != 0
+    is active: it keeps w t within arccos(1 - b/2a) = 2 arcsin sqrt(b/4a)
+    of a multiple of 2 pi. On the grid w t_j = alpha + phi j modulo 2 pi,
+    with alpha = |w| t0 and phi = |w| dt folded into [0, pi], so sample j
+    can return only if |alpha + phi j - 2 pi q| <= delta for some q, with
+    delta the angle above plus the rounding pad of PHASE_PAD.
+    """
+    a = kernel.coherence
+    b = kernel.mixedness + float(a.sum()) - (threshold - SLACK) ** 2
+    b += _g_rounding(kernel.dim)
+    ks, ls = np.nonzero(np.triu(a > b / 4.0, 1))
+    w = np.abs(kernel.levels[ks] - kernel.levels[ls])
+    t_max = abs(grid.t0) + grid.dt * grid.steps
+    w_max = 2.0 * float(np.abs(kernel.levels).max())
+    pad = PHASE_PAD * np.finfo(float).eps * (t_max * w_max + math.pi * (grid.steps + 1))
+    two_pi = 2.0 * math.pi
+    pairs = []
+    for p in np.argsort(w, kind="stable"):
+        delta = 2.0 * math.asin(math.sqrt(b / (4.0 * a[ks[p], ls[p]]))) + pad
+        phi, alpha = math.fmod(w[p] * grid.dt, two_pi), w[p] * grid.t0
+        if phi > math.pi:  # cos(alpha + phi j) = cos(-alpha + (2 pi - phi) j)
+            phi, alpha = two_pi - phi, -alpha
+        if delta < math.pi and phi > 0.0:  # otherwise the windows cover the grid
+            pairs.append((delta, phi, alpha))
+            if len(pairs) == SIEVE_PAIRS:
+                break
+    return pairs
+
+
+def _torus_windows(
+    pairs: list[tuple[float, float, float]], lo: int, need: int, steps: int
+) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """((run_lo, run_hi), end): the sorted, disjoint runs
+    run_lo[i]..run_hi[i] of grid indices in lo..end-1 that lie in a window
+    of every pair (see _sieve_pairs), with need <= end <= steps.
+
+    The windows are intersected pair by pair. Any prefix of the pairs
+    gives a sound, looser sieve, so it stops once SIEVE_DONE samples or
+    fewer survive. The windows of one pair may not outgrow CHUNK_BYTES:
+    the block lo..end-1 is then cut before the first run that does not
+    fit, down to no less than lo..need-1, and where even that does not fit
+    the intersection stops.
+    """
+    two_pi = 2.0 * math.pi
+    budget = CHUNK_BYTES // SIEVE_BYTES
+    run_lo, run_hi, end = np.array([float(lo)]), np.array([float(steps - 1)]), steps
+    for delta, phi, alpha in pairs:
+        # the windows q that can meet each run, one spare at either end
+        qa = np.floor((alpha + phi * run_lo - delta) / two_pi)
+        count = np.ceil((alpha + phi * run_hi + delta) / two_pi) - qa + 1.0
+        count = count.astype(np.int64)
+        cum = np.cumsum(count)
+        if cum[-1] > budget:
+            # keep the first budget windows: cut run i after the last of
+            # them; the next window starts past it, as delta < pi
+            i = int(np.searchsorted(cum, budget, side="right"))
+            room = budget - (int(cum[i - 1]) if i else 0)
+            last = (two_pi * (qa[i] + room - 1) - alpha) / phi
+            cut = int(min(max(math.floor(last + delta / phi) + 1, run_lo[i]), run_hi[i] + 1))
+            if cut < need:
+                break
+            run_lo, run_hi, qa = run_lo[: i + 1], run_hi[: i + 1].copy(), qa[: i + 1]
+            count = count[: i + 1].copy()
+            run_hi[i], count[i], end = cut - 1, room, cut
+        total = int(count.sum())
+        run = np.repeat(np.arange(count.size), count)
+        q = qa[run] + (np.arange(total) - np.repeat(np.cumsum(count) - count, count))
+        centre = (two_pi * q - alpha) / phi
+        new_lo = np.maximum(run_lo[run], np.ceil(centre - delta / phi))
+        new_hi = np.minimum(run_hi[run], np.floor(centre + delta / phi))
+        keep = new_lo <= new_hi
+        run_lo, run_hi = new_lo[keep], new_hi[keep]
+        if (run_hi - run_lo + 1.0).sum() <= SIEVE_DONE:
+            break
+    return (run_lo.astype(np.int64), run_hi.astype(np.int64)), end
+
+
+def _survivors(runs: tuple[np.ndarray, np.ndarray] | None, lo: int, hi: int) -> np.ndarray:
+    """Mask over grid samples lo..hi-1 of those the sieve's runs keep."""
+    m = hi - lo
+    if runs is None:
+        return np.ones(m, dtype=bool)
+    run_lo, run_hi = runs
+    a, b = np.searchsorted(run_hi, lo), np.searchsorted(run_lo, hi)
+    if a == b:
+        return np.zeros(m, dtype=bool)
+    # gaps and runs alternate between the edges 0, lo_a, hi_a + 1, ..., m
+    edges = np.empty(2 * (b - a) + 2, dtype=np.int64)
+    edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = 0, run_lo[a:b] - lo, run_hi[a:b] + 1 - lo, m
+    np.clip(edges, 0, m, out=edges)
+    return np.repeat(np.arange(edges.size - 1) % 2 == 1, np.diff(edges))
 
 
 def _super_fidelity(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
@@ -199,9 +366,14 @@ def _super_fidelity(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
 
 
 def _pruned_series(
-    kernel: EvolutionKernel, times: np.ndarray, threshold: float, theta: float
+    kernel: EvolutionKernel,
+    times: np.ndarray,
+    threshold: float,
+    theta: float,
+    todo: np.ndarray,
 ) -> np.ndarray:
-    """fidelity_series on evenly spaced times, -inf where skipped.
+    """fidelity_series on the evenly spaced times where todo is set, -inf
+    where skipped; todo is used up.
 
     The Bures angle A(t) = arccos F moves at most theta per step, so a
     sample j with angle A_j proves every sample within
@@ -221,7 +393,6 @@ def _pruned_series(
     margin = _g_rounding(kernel.dim)
     m = times.size
     out = np.full(m, -np.inf)
-    todo = np.ones(m, dtype=bool)
     span = int(min(max(2.0 * (math.pi / 2.0 - a_star) / theta, 1.0), m))
     stride = 1 << (span.bit_length() - 1)
     while stride >= 1:
@@ -240,11 +411,15 @@ def _pruned_series(
             upper[exact] = np.minimum(upper[exact], f + SLACK)
             k = (np.arccos(np.minimum(1.0, upper)) - a_star) // theta
             hit = k >= 1
-            k = np.minimum(k[hit], m).astype(int)
-            j = idx[hit]
-            cover = np.bincount(np.maximum(j - k, 0), minlength=m + 1)
-            cover -= np.bincount(np.minimum(j + k + 1, m), minlength=m + 1)
-            todo &= np.cumsum(cover[:m]) == 0
+            if hit.any():
+                k = np.minimum(k[hit], m).astype(int)
+                j = idx[hit]
+                # clear the pending samples within k[i] steps of some j[i]
+                order = np.argsort(j - k, kind="stable")
+                start, reach = (j - k)[order], np.maximum.accumulate((j + k)[order])
+                pending = np.flatnonzero(todo)
+                i = np.searchsorted(start, pending, side="right") - 1
+                todo[pending[(i >= 0) & (reach[np.maximum(i, 0)] >= pending)]] = False
         stride //= 2
     return out
 
@@ -315,9 +490,9 @@ def find_recurrence(
     if grid.dt > limit * (1.0 + 1e-12) and not allow_coarse:
         raise GridTooCoarse(f"dt = {grid.dt} exceeds the default limit {limit}")
     kernel = make_kernel(H, rho0)
-    counts = {"samples_evaluated": 0, "chunks": 0}
+    counts = dict.fromkeys(_COUNTS, 0)
     dep_idx, rec_idx = _first_crossing(
-        _counted(scan(kernel, grid, threshold=threshold), counts), lambda f: f >= threshold
+        _scan(kernel, grid, 0, threshold, counts), lambda f: f >= threshold
     )
     t_dep = t_rec = None
     if dep_idx is not None:
@@ -353,15 +528,6 @@ def find_recurrence(
         # arccos(threshold): the angle needs 2 depth / speed to go and come back
         diagnostics={**counts, "missable_depth": kernel.speed * grid.dt / 2.0},
     )
-
-
-def _counted(chunks, counts: dict):
-    """Pass (lo, times, F) chunks through, counting them and the samples
-    evaluated in them (the finite F)."""
-    for chunk in chunks:
-        counts["chunks"] += 1
-        counts["samples_evaluated"] += int(np.isfinite(chunk[2]).sum())
-        yield chunk
 
 
 def collect_samples(
@@ -402,13 +568,18 @@ def stroboscopic_recurrence(
     jmax_cap: int = 100000,
 ) -> StroboscopicResult:
     """Smallest j >= 1 with F(rho0, rho(j*t)) >= epsilon, searched up to
-    min(jmax_cap, ceil of the dimension-only ceiling)."""
+    min(jmax_cap, ceil of the dimension-only ceiling); jmax_cap must lie
+    in 1..MAX_AUTO_SAMPLES."""
     from .bounds import dimension_bound
 
     if not 0 < t < math.inf:
         raise BadParameter("t must be finite and positive")
     if jmax_cap < 1:
         raise BadParameter(f"jmax_cap must be >= 1, got {jmax_cap}")
+    if jmax_cap > MAX_AUTO_SAMPLES:
+        raise BadParameter(
+            f"jmax_cap must be <= MAX_AUTO_SAMPLES = {MAX_AUTO_SAMPLES}, got {jmax_cap}"
+        )
     jmax, _ = dimension_bound(rho0.dim, epsilon)
     cap = jmax_cap if math.isinf(jmax) else min(jmax_cap, math.ceil(jmax))
     kernel = make_kernel(H, rho0)

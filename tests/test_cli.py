@@ -117,11 +117,12 @@ class TestSearch:
         dt = math.pi / 4.0
         assert abs(out["t_rec"] - 2.0 * math.pi) <= dt
         assert out["bracket_check"]["lower_ok"] and out["bracket_check"]["upper_ok"]
-        # of the 9 samples, t = 0, pi and 2 pi are evaluated: F(pi) = 0
-        # proves the other 6 samples within 3 steps of it below the threshold
+        # of the 9 samples only t = 0 and 2 pi lie in the window sieve's
+        # windows around multiples of 2 pi, so those two are evaluated
         # missable_depth = speed * dt / 2 = (1/2)(pi/4)/2
         assert out["diagnostics"] == {
-            "samples_evaluated": 3,
+            "samples_evaluated": 2,
+            "samples_sieved": 7,
             "chunks": 1,
             "missable_depth": pytest.approx(math.pi / 16.0, rel=1e-12),
         }
@@ -497,7 +498,7 @@ TRUNCATE_KEYS = {
             {
                 "bounds": BOUND_KEYS,
                 "bracket_check": {"lower_mt", "lower_ok", "upper_ok", "upper_product"},
-                "diagnostics": {"chunks", "missable_depth", "samples_evaluated"},
+                "diagnostics": {"chunks", "missable_depth", "samples_evaluated", "samples_sieved"},
                 "grid": {"dt", "steps", "t0"},
             },
         ),

@@ -420,6 +420,166 @@ class TestSuperFidelityCeiling:
         assert np.allclose(g, fidelity_series(kernel, times) ** 2, rtol=0.0, atol=1e-14)
 
 
+def _mixture(n, r, rng):
+    """The benchmark's kind of mixture at rank r: 0.7 of a pure state with
+    equal populations and random phases, 0.3 spread over r - 1 random
+    columns; the pure part keeps every coherence large."""
+    psi = np.exp(2j * np.pi * rng.uniform(size=n)) / math.sqrt(n)
+    if r == 1:
+        return pure_state(psi)
+    g = rng.standard_normal((n, r - 1)) + 1j * rng.standard_normal((n, r - 1))
+    g *= math.sqrt(0.3 / np.vdot(g, g).real)
+    w = np.column_stack([math.sqrt(0.7) * psi, g])
+    return validate_density(w @ w.conj().T)
+
+
+def _sieved_samples(monkeypatch, kernel, grid, threshold, start=0):
+    """Grid indices the window sieve excluded while a threshold scan read
+    the whole grid, and that scan's F."""
+    masks = []
+    survivors = search._survivors
+
+    def recording(runs, lo, hi):
+        keep = survivors(runs, lo, hi)
+        masks.append(keep.copy())  # the scan uses its mask up
+        return keep
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "_survivors", recording)
+        f = np.concatenate([g for _, _, g in scan(kernel, grid, start, threshold)])
+    return start + np.flatnonzero(~np.concatenate(masks)), f
+
+
+class TestTorusWindowSieve:
+    """The window sieve excludes only grid samples with F <= threshold -
+    SLACK: a return needs every level pair's phase w t within its window
+    around a multiple of 2 pi."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_sieved_samples_are_below_threshold(self, n, monkeypatch):
+        rng = np.random.default_rng(200 + n)
+        generic = np.sort(rng.uniform(0.0, 1.0, n))
+        degenerate = np.sort(rng.integers(0, 3, n)).astype(float)  # w = 0 pairs
+        ranks = sorted({1, max(1, n // 2), n})
+        sieved = 0
+        for energies in (generic, degenerate):
+            H = Hamiltonian(energies)
+            dt = default_dt(H)
+            grids = [
+                (Grid(0.0, dt, 2048), 0),
+                # strobe-like: an arbitrary step length, read from index 1
+                (Grid(float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.1, 10.0)), 2048), 1),
+                # late times, where the phases' rounding needs the pad
+                (Grid(1e6, dt, 2048), 0),
+            ]
+            for r in ranks:
+                kernel = make_kernel(H, _mixture(n, r, rng))
+                for grid, start in grids:
+                    f = fidelity_series(kernel, grid.times(start))
+                    peaks = np.sort(f[8:])[::-1]
+                    # just above a sample that must stay, and tight ones
+                    thresholds = [p + SLACK - 1e-11 for p in peaks[[0, 2, 20]]]
+                    thresholds += [1.0 - 1e-6, 1.0 - 1e-3]
+                    for threshold in thresholds:
+                        if not 0.0 < threshold < 1.0:
+                            continue
+                        out, g = _sieved_samples(monkeypatch, kernel, grid, threshold, start)
+                        assert np.all(f[out - start] <= threshold - SLACK + 1e-12)
+                        assert np.all(np.isneginf(g[out - start]))
+                        sieved += out.size
+        assert sieved > 0
+
+    def test_late_qubit_windows_hold_their_edge_samples(self, monkeypatch):
+        # n = 2, pure: G = F^2, so a threshold just below a sample's F puts
+        # that sample on its window's edge, where at t ~ 1e6 the phases'
+        # rounding (~1e-10 rad at these energies) exceeds the margin left
+        H = Hamiltonian(np.array([0.0, 37.3]))
+        kernel = make_kernel(H, pure_state(np.array([0.6, 0.8])))
+        grid = Grid(1e6, 0.0123, 4096)
+        f = fidelity_series(kernel, grid.times())
+        for j in np.argsort(f)[-40:]:
+            threshold = f[j] + SLACK - 1e-11
+            out, _ = _sieved_samples(monkeypatch, kernel, grid, threshold)
+            assert j not in out
+            assert np.all(f[out] <= threshold - SLACK + 1e-12)
+
+    @pytest.mark.parametrize("budget", [CHUNK_BYTES, 2**16])
+    def test_long_pure_scan_finds_the_exhaustive_crossings(self, budget, monkeypatch):
+        # under the small budget the windows of a pair outgrow it, and the
+        # sieve covers the grid in many blocks
+        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        H, psi = _pure_system(8, 21)
+        rho0 = pure_state(psi)
+        kernel = make_kernel(H, rho0)
+        grid = Grid(0.0, default_dt(H), 200_000)
+        f = fidelity_series(kernel, grid.times())
+        peaks = np.sort(f[50:])[::-1]
+        for threshold in (peaks[2], peaks[0] + 1e-6):
+            dep, rec = TestPrunedScan._crossings(H, rho0, threshold, grid)
+            assert dep is not None and (rec is None) == (threshold > peaks[0])
+            res = find_recurrence(H, rho0, threshold, grid)
+            assert res.diagnostics["samples_sieved"] > (rec or grid.steps) // 2
+            out, _ = _sieved_samples(monkeypatch, kernel, grid, threshold)
+            assert np.all(f[out] <= threshold - SLACK + 1e-12)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_n16_random_spectrum_evaluates_under_16_samples(self, mixed):
+        # the scan benchmark's random-spectrum cases: nothing returns
+        # within the horizon, and the sieve proves it for all but a few
+        rng = np.random.default_rng(16)
+        H = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, 16)))
+        if mixed:
+            rho0 = _mixture(16, 17, rng)
+        else:
+            psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            rho0 = pure_state(psi / np.linalg.norm(psi))
+        eps = 0.01 * math.pi * math.sqrt(float(rho0.populations.min()))
+        res = find_recurrence(H, rho0, 1.0 - eps**2 / 4.0, Grid(0.0, default_dt(H), 16_384))
+        assert res.t_departure is not None and res.t_rec is None
+        assert res.diagnostics["samples_evaluated"] < 16
+        assert res.diagnostics["samples_sieved"] > 16_384 - 16
+
+    @pytest.mark.parametrize("need, applied", [(1, 2), (700, 1), (5000, 0)])
+    def test_blocks_cut_to_the_budget_hold_exactly_the_windows(self, need, applied, monkeypatch):
+        # 100 windows fit and the first pair alone has about 800 on
+        # 0..9999: the block is cut after its 100th, then after the second
+        # pair's 100th unless that would end it before need
+        monkeypatch.setattr(search, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
+        pairs = [(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)]
+        (lo, hi), end = search._torus_windows(pairs, 0, need, 10_000)
+        assert need <= end <= 10_000
+        kept = np.zeros(end, dtype=bool)
+        for a, b in zip(lo, hi):
+            kept[a : b + 1] = True
+        j = np.arange(end)
+        inside = np.ones(end, dtype=bool)
+        for delta, phi, alpha in pairs[:applied]:
+            x = np.mod(alpha + phi * j, 2.0 * math.pi)
+            inside &= np.minimum(x, 2.0 * math.pi - x) <= delta
+        assert np.array_equal(kept, inside)
+
+    def test_ten_million_step_scan_within_budget(self, monkeypatch):
+        budget = 2**20
+        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        rng = np.random.default_rng(0)
+        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        rho0 = pure_state(psi / np.linalg.norm(psi))
+        H = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, 8)))
+        # the threshold at half its ceiling; the first pair alone has more
+        # windows than the budget holds, so the sieve works in blocks
+        eps = 0.5 * math.pi * math.sqrt(float(rho0.populations.min()))
+        grid = Grid(0.0, default_dt(H), 10_000_000)
+        tracemalloc.start()
+        try:
+            res = find_recurrence(H, rho0, 1.0 - eps**2 / 4.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.t_rec is None  # every chunk of the grid was read
+        assert res.diagnostics["samples_sieved"] > grid.steps - 100
+        assert peak <= budget + 64 * 1024
+
+
 class TestTorusSurrogateOnChunkBoundaries:
     """The torus distance of the equal qubit superposition is |wrap(t/2)|
     (mean energy 1/2): it grows from 0 and comes back at t = 4 pi, so a

@@ -23,6 +23,7 @@ from qrecur import (
 )
 from qrecur.bounds import dimension_bound, threshold_to_epsilon, EPS_BURES_SCALE
 from qrecur.errors import BadParameter, GridTooCoarse
+from qrecur.search import MAX_AUTO_SAMPLES
 
 
 def qubit():
@@ -191,6 +192,14 @@ class TestStroboscopic:
         H, rho0 = qubit()
         with pytest.raises(BadParameter, match="jmax_cap"):
             stroboscopic_recurrence(H, rho0, 0.9, 0.37, jmax_cap=cap)
+
+    @pytest.mark.parametrize("cap", [MAX_AUTO_SAMPLES + 1, 10**12])
+    def test_cap_over_the_limit_is_refused_before_the_scan(self, cap):
+        # epsilon = 1.0 is never reached and the theory ceiling is infinite,
+        # so an accepted cap of 10**12 would be a 10**12-sample scan
+        H, rho0 = qubit()
+        with pytest.raises(BadParameter, match=f"MAX_AUTO_SAMPLES = {MAX_AUTO_SAMPLES}, got {cap}"):
+            stroboscopic_recurrence(H, rho0, 1.0, 0.37, jmax_cap=cap)
 
 
 class TestTorusSurrogate:
