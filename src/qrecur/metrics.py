@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DimensionMismatch, EigenFailure
@@ -76,6 +75,8 @@ def bures_hp(w: np.ndarray, energies: np.ndarray, hbar: float, t: float) -> floa
     gram_factor W of rho0, at 40 working digits: near F = 1, sqrt(2 - 2F)
     turns float64 noise into ~1e-8. The exact trace removes the O(eps)
     trace defect of the float64 entries."""
+    import mpmath as mp  # loaded here only: nothing else in the package needs it
+
     with mp.workdps(40):
         wm = mp.matrix([[mp.mpc(complex(z)) for z in row] for row in w])
         u = mp.diag([mp.expj(-mp.mpf(e) * mp.mpf(t) / mp.mpf(hbar)) for e in energies])

@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bounds import SUPPORT_TOL, BoundReport
+from .bounds import SUPPORT_TOL, BoundReport, dimension_bound
 from .errors import BadParameter, GridTooCoarse
 from .evolution import (
     CHUNK_BYTES,
@@ -570,8 +570,6 @@ def stroboscopic_recurrence(
     """Smallest j >= 1 with F(rho0, rho(j*t)) >= epsilon, searched up to
     min(jmax_cap, ceil of the dimension-only ceiling); jmax_cap must lie
     in 1..MAX_AUTO_SAMPLES."""
-    from .bounds import dimension_bound
-
     if not 0 < t < math.inf:
         raise BadParameter("t must be finite and positive")
     if jmax_cap < 1:

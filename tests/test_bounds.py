@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from qrecur import (
     pure_state,
     reduce_to_support,
     sin_power_integral,
+    sphere_ball_volume,
     threshold_to_epsilon,
     truncate,
     truncated_bounds,
@@ -75,6 +78,60 @@ class TestSinPowerIntegral:
         assert v <= sin_power_integral(m, math.pi) + 1e-15
 
 
+EPS = sys.float_info.epsilon
+# every m the dimension bound can ask for up to n = 32, and all small m
+ACCURACY_MS = sorted(set(range(65)) | {2 * n * n - 2 for n in range(2, 33)})
+ACCURACY_XS = (1e-8, 0.1, math.pi / 4, 1 / math.sqrt(2), 1.0, 1.5, math.pi / 2, 1.6, 2.5, math.pi)
+
+
+def _log_sin_power_ref(m, x):
+    """ln of the integral from the 60-digit regularization-free incomplete
+    beta, folded about pi/2 as the integrand is symmetric there."""
+    with mp.workdps(60):
+        a, xm = mp.mpf(m + 1) / 2, mp.mpf(x)
+        if xm <= mp.pi / 2:
+            return mp.log(mp.betainc(a, 0.5, 0, mp.sin(xm) ** 2) / 2)
+        return mp.log(mp.beta(a, 0.5) - mp.betainc(a, 0.5, 0, mp.sin(mp.pi - xm) ** 2) / 2)
+
+
+def _log_sin_power_series(m, x):
+    """ln of S^(m+1) sum_k (1/2)_k/k! S^(2k)/(m+2k+1), S = sin x: all
+    terms positive, summed at 50 digits; slow unless S^2 is well below 1."""
+    with mp.workdps(50):
+        s2 = mp.sin(mp.mpf(x)) ** 2
+        coef, total, k = mp.mpf(1), mp.mpf(0), 0
+        while True:
+            term = coef / (m + 2 * k + 1)
+            total += term
+            if term < total * mp.mpf(10) ** -50:
+                return (m + 1) * mp.log(s2) / 2 + mp.log(total)
+            k += 1
+            coef *= (k - mp.mpf(1) / 2) / k * s2
+
+
+class TestSinPowerAccuracy:
+    @pytest.mark.parametrize("m", ACCURACY_MS)
+    def test_against_60_digit_beta(self, m):
+        rng = np.random.default_rng(m)
+        xs = [*ACCURACY_XS, *rng.uniform(0.0, math.pi, 6), *rng.uniform(0.0, 1 / math.sqrt(2), 3)]
+        for x in xs:
+            ref = _log_sin_power_ref(m, x)
+            dev = float(abs(log_sin_power_integral(m, x) - ref) / max(1, abs(ref)))
+            bound = 4 if x <= 1 / math.sqrt(2) else 16 if m <= 64 else 128
+            assert dev <= bound * EPS, (m, x, dev / EPS)
+        assert log_sin_power_integral(m, 0.0) == -math.inf
+
+    @pytest.mark.parametrize("m, x", [(199998, 1.2), (200000, 1.2), (999999, 1.5)])
+    def test_large_m(self, m, x):
+        # the linear values underflow; the logs carry the check
+        ref = _log_sin_power_series(m, x)
+        assert float(abs(log_sin_power_integral(m, x) - ref) / abs(ref)) <= 128 * EPS
+        assert sin_power_integral(m, x) == float(mp.exp(ref))
+        with mp.workdps(50):
+            log_prefactor = mp.log(2) + (m + 1) * mp.log(mp.pi) / 2 - mp.loggamma(mp.mpf(m + 1) / 2)
+            assert sphere_ball_volume(m + 1, x) == float(mp.exp(log_prefactor + ref))
+
+
 class TestLogGammaRatio:
     def test_closed_form(self):
         assert log_gamma_ratio(1.0, 1.5) == pytest.approx(
@@ -92,6 +149,14 @@ class TestLogGammaRatio:
 
 
 class TestDimensionBound:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 100])
+    def test_against_50_digit_closed_form(self, n):
+        for eps in (0.05, 0.5, 0.9, 0.999):
+            x = math.sqrt(2.0 - 2.0 * eps) / 2.0
+            with mp.workdps(50):
+                ref = mp.log(mp.beta(n * n, 0.5)) - _log_sin_power_ref(2 * n * n - 2, x)
+            assert float(abs(dimension_bound(n, eps)[1] - ref) / ref) <= 2 * EPS, (n, eps)
+
     def test_n1_closed_form(self):
         jmax, log_jmax = dimension_bound(1, 0.5)
         assert jmax == pytest.approx(4.0, rel=1e-12)

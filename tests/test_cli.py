@@ -376,6 +376,14 @@ class TestGeometry:
         assert out["ball"]["volume"] == pytest.approx(2.0 * math.pi**2, rel=1e-12)
         assert out["tube"]["volume"] == pytest.approx(math.pi * 0.09 * 5.0, rel=1e-12)
 
+    def test_ball_at_large_dimension(self, capsys):
+        # the volume, about exp(-950906), underflows to 0; the integral
+        # behind it must still evaluate and the report stay strict JSON
+        code = main(["geometry", "--ball", "200001", "1.2"])
+        out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert code == 0
+        assert out["ball"] == {"n": 200001, "r": 1.2, "volume": 0.0}
+
     def test_state_torus(self, mixed3_json, capsys):
         code, out = run_json(["geometry", "--state", mixed3_json], capsys)
         assert code == 0

@@ -1,11 +1,7 @@
 """The scan engine: Gram-form fidelity kernel, chunk schedule, crossings."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -632,10 +628,3 @@ class TestTorusSurrogateOnChunkBoundaries:
         grid = Grid(0.0, 4.0 * math.pi / (index + 3.5), index + 50)
         dep, rec = self._check(grid, self._radius_between(grid, index), monkeypatch)
         assert rec == index and dep < index
-
-
-def test_package_import_does_not_load_scipy():
-    src = str(Path(qrecur.__file__).resolve().parents[1])
-    code = "import sys, qrecur, qrecur.cli; sys.exit('scipy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
