@@ -15,7 +15,9 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .torus import (
 from .truncation import choose_N, truncate
 
 MAX_CSV_SAMPLES = 200_000
+_CSV_COLUMNS = ("t", "fidelity", "bures", "trace_dist", "hs_dist", "torus_dist")
 
 
 def _strict(obj):
@@ -149,27 +152,23 @@ def _cmd_search(args) -> int:
     out["norms"] = {"bures": "from fidelity", "trace_dist": "trace", "hs_dist": "hilbert-schmidt"}
     if report is not None:
         out["bounds"] = report.to_dict()
-    _dump_json(out, args.output)
-    if args.csv:
-        _write_csv(args.csv, search.collect_samples(H, rho0, grid.times()))
+    # opened before any output: a CSV path that cannot be written prints nothing
+    with open(args.csv, "w", newline="") if args.csv else nullcontext() as fh:
+        _dump_json(out, args.output)
+        if fh is not None:
+            _write_csv(fh, search.collect_samples(H, rho0, grid.times()))
     return 0
 
 
-def _write_csv(path: str, samples):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "fidelity", "bures", "trace_dist", "hs_dist", "torus_dist"])
-        for s in samples:
-            writer.writerow(
-                [
-                    repr(s.t),
-                    repr(s.fidelity),
-                    repr(s.bures),
-                    repr(s.trace_dist),
-                    repr(s.hs_dist),
-                    "" if s.torus_dist is None else repr(s.torus_dist),
-                ]
-            )
+def _write_csv(fh, blocks):
+    writer = csv.writer(fh)
+    writer.writerow(_CSV_COLUMNS)
+    for block in blocks:
+        columns = [
+            repeat("") if block[k] is None else map(repr, block[k].tolist())
+            for k in _CSV_COLUMNS
+        ]
+        writer.writerows(zip(*columns))
 
 
 def _cmd_strobe(args) -> int:

@@ -89,15 +89,20 @@ def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(bures_from_fidelity(fidelity(rho, sigma)))
 
 
+def trace_norm(a: np.ndarray) -> np.ndarray:
+    """Trace norm, sum |eigenvalues|, of each Hermitian matrix a[..., :, :]."""
+    try:
+        vals = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from None
+    return np.abs(vals).sum(axis=-1)
+
+
 def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Trace norm of rho - sigma; range [0, 2]."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"{rho.dim} != {sigma.dim}")
-    try:
-        vals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from None
-    return float(np.abs(vals).sum())
+    return float(trace_norm(rho.matrix - sigma.matrix))
 
 
 def hs_norm(a) -> float:

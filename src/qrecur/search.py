@@ -6,7 +6,8 @@ set by the byte budget CHUNK_BYTES, so a scan that ends early pays for
 few samples and no chunk outgrows the budget. Per sample the kernel
 needs n phases and one r x r nuclear norm, with r the rank of rho0 (see
 `fidelity_series`). The torus surrogate walks the same chunks with the
-torus distance in place of F.
+torus distance in place of F, and `collect_samples` builds the CSV
+distance columns from them a chunk at a time.
 
 Given a threshold, `scan` skips the samples it can prove below
 threshold - SLACK, in three steps:
@@ -50,15 +51,8 @@ import numpy as np
 
 from .bounds import SUPPORT_TOL, BoundReport, dimension_bound
 from .errors import BadParameter, GridTooCoarse
-from .evolution import (
-    CHUNK_BYTES,
-    EvolutionKernel,
-    evolve,
-    is_stationary,
-    make_kernel,
-)
-from .metrics import DistanceSample, bures_from_fidelity, bures_hp, gram_factor
-from .metrics import hs_norm, trace_distance_norm
+from .evolution import CHUNK_BYTES, EvolutionKernel, is_stationary, make_kernel
+from .metrics import bures_from_fidelity, bures_hp, gram_factor, hs_norm, trace_norm
 from .states import DensityMatrix, Hamiltonian
 from .torus import (
     torus_distance_series,
@@ -532,32 +526,32 @@ def find_recurrence(
 
 def collect_samples(
     H: Hamiltonian, rho0: DensityMatrix, times: np.ndarray
-) -> Iterator[DistanceSample]:
-    """Full distance records (fidelity, Bures, trace, HS, torus) per time,
-    yielded in order. Fidelity and torus distance are evaluated in the
-    blocks of chunk_bounds, so memory stays within CHUNK_BYTES however
-    many times there are."""
+) -> Iterator[dict[str, np.ndarray | None]]:
+    """Distance columns over the times, one dict per chunk of chunk_bounds,
+    in order, from each DistanceSample field name to an array over the
+    chunk; torus_dist is None when a population is <= SUPPORT_TOL. The
+    trace distances come from one stacked eigvalsh per chunk, of about
+    80 n^2 + 40 n bytes per time, so memory stays within CHUNK_BYTES."""
     kernel = make_kernel(H, rho0)
-    torus = None
-    if np.all(rho0.populations > SUPPORT_TOL):
-        torus = torus_from_state(rho0)
-        lam = float(H.energies @ rho0.populations)
-    for lo, hi in chunk_bounds(times.size, chunk_cap(40 * H.dim)):
+    torus = torus_from_state(rho0) if np.all(rho0.populations > SUPPORT_TOL) else None
+    lam = float(H.energies @ rho0.populations)
+    for lo, hi in chunk_bounds(times.size, chunk_cap(40 * H.dim * (2 * H.dim + 1))):
         ts = times[lo:hi]
         f = fidelity_series(kernel, ts)
-        if torus is not None:
-            tdist = torus_distance_series(torus, torus_phase_at(H, lam, ts))
-        bures = bures_from_fidelity(f)
-        for i, t in enumerate(ts):
-            rho_t = evolve(kernel, t)
-            yield DistanceSample(
-                t=float(t),
-                fidelity=float(f[i]),
-                bures=float(bures[i]),
-                trace_dist=trace_distance_norm(rho_t, rho0),
-                hs_dist=hs_norm(rho_t.matrix - rho0.matrix),
-                torus_dist=float(tdist[i]) if torus is not None else None,
-            )
+        u = kernel.phases(ts)
+        # rho(t) - rho0 in evolve's operand order: swapped, the product rounds differently
+        diff = rho0.matrix * (u[:, :, None] * u.conj()[:, None, :]) - rho0.matrix
+        yield {
+            "t": ts,
+            "fidelity": f,
+            "bures": bures_from_fidelity(f),
+            "trace_dist": trace_norm(diff),
+            # one norm per matrix: norm over axes (1, 2) rounds differently
+            "hs_dist": np.array([hs_norm(d) for d in diff]),
+            "torus_dist": None
+            if torus is None
+            else torus_distance_series(torus, torus_phase_at(H, lam, ts)),
+        }
 
 
 def stroboscopic_recurrence(

@@ -22,7 +22,6 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
 TRACE_INPUT_TOL = 1e-6
 
 

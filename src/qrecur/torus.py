@@ -209,6 +209,8 @@ def metric_recurrence_oracle(
         raise BadDomain("need r > 0")
     perm = np.asarray(permutation, dtype=int)
     m = space.size
+    if not 0 <= p < m:
+        raise BadDomain(f"point {p} is not one of the points 0..{m - 1}")
     if sorted(perm.tolist()) != list(range(m)):
         raise BadDomain("permutation must be a bijection on the points")
     d = space.dist

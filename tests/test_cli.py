@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -8,8 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from qrecur import bounds
+from qrecur import bounds, search
 from qrecur.cli import MAX_AUTO_SAMPLES, _load_system, _resolve_grid, main
+from qrecur.evolution import evolve, make_kernel
+from qrecur.metrics import bures_from_fidelity, hs_norm, trace_distance_norm
+from qrecur.search import Grid, fidelity_series
+from qrecur.torus import torus_distance_series, torus_from_state, torus_phase_at
 
 
 @pytest.fixture
@@ -229,6 +234,17 @@ class TestSearch:
         assert "254648" in out["message"] and "200000" in out["message"]
         assert not csv_path.exists()
 
+    def test_unwritable_csv_prints_no_result(self, qubit_json, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "series.csv"
+        code = main(
+            ["search", "--input", qubit_json, "--threshold", "0.999", "--horizon", "7",
+             "--csv", str(csv_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     @pytest.mark.parametrize(
         "flag, value", [("--dt", "0"), ("--horizon", "inf"), ("--horizon", "-5")]
     )
@@ -253,6 +269,72 @@ def run_cli_bounded(argv, timeout=30.0):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     return proc.returncode, json.loads(proc.stdout)
+
+
+def _csv_system(kind: str) -> dict:
+    """A 5-level system: a pure state, a full-rank mixed state, or a pure
+    state with a zero population (no torus distance)."""
+    rng = np.random.default_rng(3)
+    n = 5
+    energies = np.sort(rng.uniform(0.0, 2.0, n)).tolist()
+    if kind == "full_rank":
+        w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = w @ w.conj().T
+        m = (m + m.conj().T) / (2.0 * np.trace(m).real)
+        state = {"matrix": [[[z.real, z.imag] for z in row] for row in m]}
+    else:
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if kind == "zero_population":
+            psi[2] = 0.0
+        psi /= np.linalg.norm(psi)
+        state = {"pure": [[z.real, z.imag] for z in psi]}
+    return {"energies": energies, "state": state}
+
+
+class TestCsvColumns:
+    """Every search --csv column against its definition, one row at a time."""
+
+    @pytest.mark.parametrize("kind", ["pure", "full_rank", "zero_population"])
+    def test_columns_equal_per_row_values(self, kind, tmp_path, capsys):
+        path, csv_path = tmp_path / "system.json", tmp_path / "series.csv"
+        path.write_text(json.dumps(_csv_system(kind)))
+        code, out = run_json(
+            ["search", "--input", str(path), "--threshold", "0.9", "--dt", "0.1",
+             "--horizon", "70", "--csv", str(csv_path)],
+            capsys,
+        )
+        assert code == 0
+        grid = Grid(**out["grid"])
+        assert grid.steps > search.CHUNK_START  # at least two chunks
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "fidelity", "bures", "trace_dist", "hs_dist", "torus_dist"]
+        t, f, bures, trace, hs, torus = zip(*rows[1:])
+        times = grid.times()
+        assert [float(v) for v in t] == times.tolist()
+
+        H, rho0 = _load_system(str(path))
+        kernel = make_kernel(H, rho0)
+        f_ref = fidelity_series(kernel, times)
+        assert [float(v) for v in f] == f_ref.tolist()
+        assert [float(v) for v in bures] == bures_from_fidelity(f_ref).tolist()
+        trace_ref, hs_ref = [], []
+        for ti in times:
+            rho_t = evolve(kernel, ti)
+            trace_ref.append(trace_distance_norm(rho_t, rho0))
+            hs_ref.append(hs_norm(rho_t.matrix - rho0.matrix))
+        assert [float(v) for v in trace] == trace_ref
+        assert [float(v) for v in hs] == hs_ref
+        if kind == "zero_population":
+            assert set(torus) == {""}
+        else:
+            tor = torus_from_state(rho0)
+            lam = float(H.energies @ rho0.populations)
+            torus_ref = [
+                float(torus_distance_series(tor, torus_phase_at(H, lam, np.array([ti])))[0])
+                for ti in times
+            ]
+            assert [float(v) for v in torus] == torus_ref
 
 
 class TestSampleLimit:
@@ -394,7 +476,8 @@ class TestGeometry:
             math.pi * math.sqrt(0.2)
         )
 
-    def test_metric_space_oracle(self, tmp_path, capsys):
+    @pytest.fixture
+    def cycle6_json(self, tmp_path):
         m = 6
         idx = np.arange(m)
         hop = np.abs(idx[:, None] - idx[None, :])
@@ -407,13 +490,25 @@ class TestGeometry:
         }
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps(spec))
+        return str(path)
+
+    def test_metric_space_oracle(self, cycle6_json, capsys):
         code, out = run_json(
-            ["geometry", "--metric-space", str(path), "--point", "0", "--r", "2.0"],
+            ["geometry", "--metric-space", cycle6_json, "--point", "0", "--r", "2.0"],
             capsys,
         )
         assert code == 0
         rec = out["metric_recurrence"]
         assert rec["n_rec"] == 1 and rec["bound"] == pytest.approx(6.0) and rec["ok"]
+
+    @pytest.mark.parametrize("point", ["6", "-1"])
+    def test_metric_space_point_outside(self, cycle6_json, capsys, point):
+        code, out = run_json(
+            ["geometry", "--metric-space", cycle6_json, "--point", point, "--r", "2.0"],
+            capsys,
+        )
+        assert code == 1
+        assert out["error"] == "BadDomain"
 
     def test_no_arguments(self, capsys):
         assert main(["geometry"]) == 2

@@ -166,7 +166,7 @@ class TestChunkSchedule:
         times = Grid(0.0, default_dt(H), 20_000).times()
         tracemalloc.start()
         try:
-            rows = sum(1 for _ in search.collect_samples(H, rho0, times))
+            rows = sum(block["t"].size for block in search.collect_samples(H, rho0, times))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -327,6 +327,12 @@ class TestMetricOracle:
         with pytest.raises(BadDomain):
             metric_recurrence_oracle(s, [1, 2, 3, 0], 0, 0.0)
 
+    @pytest.mark.parametrize("p", [5, -1])
+    def test_point_outside_the_space(self, p):
+        # -1 would index the last point and 5 run off the distance matrix
+        with pytest.raises(BadDomain, match="0..4"):
+            metric_recurrence_oracle(cycle_space(5), [1, 2, 3, 4, 0], p, 1.0)
+
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(3, 12), shift=st.integers(1, 11), r=st.floats(0.5, 3.0))
     def test_cycle_rotations_respect_bound(self, m, shift, r):
