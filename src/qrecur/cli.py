@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -152,9 +153,16 @@ def _cmd_search(args) -> int:
     out["norms"] = {"bures": "from fidelity", "trace_dist": "trace", "hs_dist": "hilbert-schmidt"}
     if report is not None:
         out["bounds"] = report.to_dict()
-    # opened before any output: a CSV path that cannot be written prints nothing
+    # opened before any output: a CSV path that cannot be written prints
+    # nothing, and a JSON path that cannot be written leaves no CSV
     with open(args.csv, "w", newline="") if args.csv else nullcontext() as fh:
-        _dump_json(out, args.output)
+        try:
+            _dump_json(out, args.output)
+        except OSError:
+            if fh is not None:
+                fh.close()
+                os.remove(args.csv)
+            raise
         if fh is not None:
             _write_csv(fh, search.collect_samples(H, rho0, grid.times()))
     return 0

@@ -21,9 +21,10 @@ threshold - SLACK, in three steps:
   w_kk' != 0 is active: it confines t to windows |w t - 2 pi q| <=
   arccos(1 - b/2a), widened by a pad for the rounding of the phases,
   which grows with |t| (see PHASE_PAD). The windows of the active pairs
-  are intersected once per scan, by increasing |w|, in blocks of grid
-  indices that keep them within CHUNK_BYTES; a chunk with no surviving
-  sample is not evaluated at all.
+  are intersected by increasing |w|, as runs of grid indices while many
+  samples survive and sample by sample once few do, in blocks that keep
+  them within CHUNK_BYTES: the first chunk first, so a scan that returns
+  there pays for no more, then the rest of the grid.
 - The speed limit, on the samples the sieve leaves: the Bures angle
   arccos F moves at most dE/hbar per unit time, so one sample far from
   the threshold clears its neighbours (see `_pruned_series`).
@@ -33,7 +34,10 @@ threshold - SLACK, in three steps:
   below the threshold.
 
 A skipped sample reads F = -inf, so every test F >= threshold reads the
-same as on the exhaustive scan.
+same as on the exhaustive scan. The threshold scan walks from one
+surviving run of the sieve to the next: a stretch with no survivor is
+one block of -inf, and the chunks it evaluates start and end on a
+survivor, so its cost follows the survivors, not the grid.
 
 One rule, `_first_crossing`, reads every departure and return. The
 operational definition, recorded in every report, is: t_departure is
@@ -79,8 +83,14 @@ SLACK = 1e-9
 # 8.1 eps T W + 3.5 pi eps steps + 7 pi eps, half of what the pad allows.
 PHASE_PAD = 16.0
 SIEVE_PAIRS = 16  # level pairs the window sieve intersects at most
-SIEVE_DONE = 8  # the sieve stops once this few grid samples survive
+# the sieve tests the pairs left sample by sample once this few grid
+# samples survive; 2,048 runs the scan benchmark as fast, 128 runs it
+# about 6% slower
+SIEVE_POINTWISE = 512
 SIEVE_BYTES = 128  # peak temporary bytes per window while the sieve intersects
+# bytes per sample of a settled block while it is built and read: its
+# times (and their temporaries) and F, and the reader's mask and indices
+SETTLED_BYTES = 64
 
 
 def _g_rounding(n: int) -> float:
@@ -105,7 +115,10 @@ class Grid:
     def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Times of the samples lo..hi-1 (default: all of them)."""
         hi = self.steps if hi is None else hi
-        return self.t0 + self.dt * np.arange(lo, hi, dtype=float)
+        t = np.arange(lo, hi, dtype=float)
+        t *= self.dt  # in place: t0 + dt j, without two more temporaries
+        t += self.t0
+        return t
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,7 @@ class StroboscopicResult:
     jmax_theory: float
     cap: int
     cap_exceeded: bool  # search cap below the theory ceiling and nothing found
+    diagnostics: dict = field(default_factory=dict)  # the scan's counts, as in find_recurrence
 
 
 def default_dt(H: Hamiltonian) -> float:
@@ -206,13 +220,14 @@ _COUNTS = ("samples_evaluated", "samples_sieved", "chunks")  # kept by _scan
 def scan(
     kernel: EvolutionKernel, grid: Grid, start: int = 0, threshold: float | None = None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (lo, times, F) over grid samples start..steps-1 in growing
-    chunks (see chunk_bounds). Stop iterating to stop the scan.
+    """Yield (lo, times, F) over grid samples start..steps-1 in blocks
+    that tile them in order. Stop iterating to stop the scan.
 
-    Without a threshold every sample is evaluated. With one, a sample the
-    window sieve or the speed limit proves to have F <= threshold - SLACK
-    is not evaluated and carries F = -inf; every other value is the one
-    fidelity_series gives, so a test F >= threshold reads the same on both.
+    Without a threshold every sample is evaluated, in growing chunks (see
+    chunk_bounds). With one, a sample the window sieve or the speed limit
+    proves to have F <= threshold - SLACK is not evaluated and carries
+    F = -inf; every other value is the one fidelity_series gives, so a
+    test F >= threshold reads the same on both.
     """
     return _scan(kernel, grid, start, threshold, dict.fromkeys(_COUNTS, 0))
 
@@ -220,29 +235,56 @@ def scan(
 def _scan(
     kernel: EvolutionKernel, grid: Grid, start: int, threshold: float | None, counts: dict
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """scan, adding to counts the chunks read, the samples evaluated in
-    them (the finite F) and the samples the window sieve excluded."""
+    """scan, adding to counts the blocks read, the samples evaluated in
+    them (the finite F) and the samples the window sieve excluded.
+
+    With a threshold the scan walks the sieve's runs: a stretch with no
+    survivor is yielded as one block of -inf, cut only where a block of
+    the sieve's windows ends or after CHUNK_BYTES / SETTLED_BYTES
+    samples, and a chunk goes from a survivor to the last survivor
+    within the chunk schedule's size.
+    """
     cap = chunk_cap(sample_bytes(kernel.dim, kernel.rank))
     theta = kernel.speed * grid.dt
-    pruned = threshold is not None and theta > 0.0
-    pairs = _sieve_pairs(kernel, grid, threshold) if pruned else []
-    runs, sieved_to = None, start
-    for lo, hi in chunk_bounds(grid.steps, cap, start):
-        ts = grid.times(lo, hi)
-        if not pruned:
-            f = fidelity_series(kernel, ts)
-        else:
-            if pairs and hi > sieved_to:
-                runs, sieved_to = _torus_windows(pairs, lo, hi, grid.steps)
-            todo = _survivors(runs, lo, hi)
-            counts["samples_sieved"] += ts.size - int(np.count_nonzero(todo))
-            if todo.any():
-                f = _pruned_series(kernel, ts, threshold, theta, todo)
-            else:
-                f = np.full(ts.size, -np.inf)
+    steps = grid.steps
+    if threshold is None or theta == 0.0:
+        for lo, hi in chunk_bounds(steps, cap, start):
+            ts = grid.times(lo, hi)
+            counts["chunks"] += 1
+            counts["samples_evaluated"] += ts.size
+            yield lo, ts, fidelity_series(kernel, ts)
+        return
+    pairs = _sieve_pairs(kernel, grid, threshold)
+    size = min(CHUNK_START, cap)
+    # the sieve's runs cover lo..end-1; its first block is the first
+    # chunk, so a scan that returns there builds no more windows
+    run_lo, run_hi, end = np.array([start]), np.array([steps - 1]), steps
+    if pairs:
+        (run_lo, run_hi), end = _torus_windows(pairs, start, start + 1, min(start + size, steps))
+    lo = start
+    while lo < steps:
+        if lo == end:
+            (run_lo, run_hi), end = _torus_windows(pairs, end, end + 1, steps)
+        i = int(np.searchsorted(run_hi, lo))  # the first run not over before lo
+        survivor = max(int(run_lo[i]), lo) if i < run_hi.size else end
+        if survivor > lo:  # settled: no sample of lo..survivor-1 survives
+            hi = min(survivor, lo + chunk_cap(SETTLED_BYTES))
+            ts, f = grid.times(lo, hi), np.full(hi - lo, -np.inf)
+            counts["samples_sieved"] += hi - lo
+        else:  # from this survivor to the last one within size samples
+            hi = min(lo + size, end)
+            last = int(np.searchsorted(run_lo, hi)) - 1  # the last run to start before hi
+            hi = min(hi, int(run_hi[last]) + 1)
+            ts = grid.times(lo, hi)
+            # lo lies in run i, so a chunk within it keeps every sample
+            todo = np.ones(hi - lo, bool) if last == i else _survivors((run_lo, run_hi), lo, hi)
+            counts["samples_sieved"] += hi - lo - int(np.count_nonzero(todo))
+            f = _pruned_series(kernel, ts, threshold, theta, todo)
+            counts["samples_evaluated"] += int(np.isfinite(f).sum())
+            size = min(2 * size, cap)
         counts["chunks"] += 1
-        counts["samples_evaluated"] += int(np.isfinite(f).sum())
         yield lo, ts, f
+        lo = hi
 
 
 def _sieve_pairs(
@@ -278,7 +320,9 @@ def _sieve_pairs(
         phi, alpha = math.fmod(w[p] * grid.dt, two_pi), w[p] * grid.t0
         if phi > math.pi:  # cos(alpha + phi j) = cos(-alpha + (2 pi - phi) j)
             phi, alpha = two_pi - phi, -alpha
-        if delta < math.pi and phi > 0.0:  # otherwise the windows cover the grid
+        # otherwise the windows cover the grid, or nearly: delta + pad < pi
+        # leaves one window that can hold a sample (see _in_windows)
+        if delta + pad < math.pi and phi > 0.0:
             pairs.append((delta, phi, alpha))
             if len(pairs) == SIEVE_PAIRS:
                 break
@@ -286,23 +330,32 @@ def _sieve_pairs(
 
 
 def _torus_windows(
-    pairs: list[tuple[float, float, float]], lo: int, need: int, steps: int
+    pairs: list[tuple[float, float, float]], lo: int, need: int, stop: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """((run_lo, run_hi), end): the sorted, disjoint runs
     run_lo[i]..run_hi[i] of grid indices in lo..end-1 that lie in a window
-    of every pair (see _sieve_pairs), with need <= end <= steps.
+    of every pair (see _sieve_pairs), with need <= end <= stop.
 
-    The windows are intersected pair by pair. Any prefix of the pairs
-    gives a sound, looser sieve, so it stops once SIEVE_DONE samples or
-    fewer survive. The windows of one pair may not outgrow CHUNK_BYTES:
-    the block lo..end-1 is then cut before the first run that does not
-    fit, down to no less than lo..need-1, and where even that does not fit
-    the intersection stops.
+    The windows are intersected pair by pair as runs; once SIEVE_POINTWISE
+    or fewer samples survive, the pairs left are tested on those samples
+    at once (see _in_windows), and each sample kept is a run of its own.
+    The windows of one pair may not outgrow CHUNK_BYTES: the block
+    lo..end-1 is then cut before the first run that does not fit, down to
+    no less than lo..need-1, and where even that does not fit the
+    intersection stops. Any subset of the pairs gives a sound, looser
+    sieve.
     """
     two_pi = 2.0 * math.pi
     budget = CHUNK_BYTES // SIEVE_BYTES
-    run_lo, run_hi, end = np.array([float(lo)]), np.array([float(steps - 1)]), steps
-    for delta, phi, alpha in pairs:
+    run_lo, run_hi, end = np.array([float(lo)]), np.array([float(stop - 1)]), stop
+    for p, (delta, phi, alpha) in enumerate(pairs):
+        count = (run_hi - run_lo + 1.0).astype(np.int64)
+        cum = np.cumsum(count)
+        alive = int(cum[-1]) if cum.size else 0
+        if alive <= SIEVE_POINTWISE:
+            j = np.repeat(run_lo - cum + count, count) + np.arange(alive)
+            j = j[_in_windows(pairs[p:], j)].astype(np.int64)
+            return (j, j), end
         # the windows q that can meet each run, one spare at either end
         qa = np.floor((alpha + phi * run_lo - delta) / two_pi)
         count = np.ceil((alpha + phi * run_hi + delta) / two_pi) - qa + 1.0
@@ -320,28 +373,38 @@ def _torus_windows(
             run_lo, run_hi, qa = run_lo[: i + 1], run_hi[: i + 1].copy(), qa[: i + 1]
             count = count[: i + 1].copy()
             run_hi[i], count[i], end = cut - 1, room, cut
-        total = int(count.sum())
+            cum = np.cumsum(count)
         run = np.repeat(np.arange(count.size), count)
-        q = qa[run] + (np.arange(total) - np.repeat(np.cumsum(count) - count, count))
+        q = qa[run] + (np.arange(cum[-1]) - np.repeat(cum - count, count))
         centre = (two_pi * q - alpha) / phi
         new_lo = np.maximum(run_lo[run], np.ceil(centre - delta / phi))
         new_hi = np.minimum(run_hi[run], np.floor(centre + delta / phi))
         keep = new_lo <= new_hi
         run_lo, run_hi = new_lo[keep], new_hi[keep]
-        if (run_hi - run_lo + 1.0).sum() <= SIEVE_DONE:
-            break
     return (run_lo.astype(np.int64), run_hi.astype(np.int64)), end
 
 
-def _survivors(runs: tuple[np.ndarray, np.ndarray] | None, lo: int, hi: int) -> np.ndarray:
+def _in_windows(pairs: list[tuple[float, float, float]], j: np.ndarray) -> np.ndarray:
+    """Mask over the grid indices j (floats) of those in a window of every
+    pair, in one pairs x samples array and in _torus_windows' arithmetic:
+    j lies in window q when ceil(centre - delta/phi) <= j <= floor(centre +
+    delta/phi), centre = (2 pi q - alpha)/phi, and for an integer j the
+    ceil and floor change nothing. Such a q has |alpha + phi j - 2 pi q|
+    within delta plus half the pad, and (alpha + phi j)/2 pi is rounded by
+    less than another half (see PHASE_PAD); as _sieve_pairs keeps delta +
+    pad < pi, only the q nearest to it can hold j."""
+    two_pi = 2.0 * math.pi
+    delta, phi, alpha = (np.array(col)[:, None] for col in zip(*pairs))
+    centre = (two_pi * np.rint((alpha + phi * j) / two_pi) - alpha) / phi
+    half = delta / phi
+    return ((centre - half <= j) & (j <= centre + half)).all(axis=0)
+
+
+def _survivors(runs: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> np.ndarray:
     """Mask over grid samples lo..hi-1 of those the sieve's runs keep."""
     m = hi - lo
-    if runs is None:
-        return np.ones(m, dtype=bool)
     run_lo, run_hi = runs
     a, b = np.searchsorted(run_hi, lo), np.searchsorted(run_lo, hi)
-    if a == b:
-        return np.zeros(m, dtype=bool)
     # gaps and runs alternate between the edges 0, lo_a, hi_a + 1, ..., m
     edges = np.empty(2 * (b - a) + 2, dtype=np.int64)
     edges[0], edges[1:-1:2], edges[2:-1:2], edges[-1] = 0, run_lo[a:b] - lo, run_hi[a:b] + 1 - lo, m
@@ -371,11 +434,14 @@ def _pruned_series(
 
     The Bures angle A(t) = arccos F moves at most theta per step, so a
     sample j with angle A_j proves every sample within
-    k_j = floor((A_j - A*)/theta) steps has A >= A* = arccos(threshold -
-    SLACK). Samples are evaluated coarse to fine: every stride-th one
-    first, stride the largest power of two at which two samples at the
-    largest angle, pi/2, could clear the gap between them, then halving
-    down to 1, skipping what earlier levels cleared.
+    k_j = floor((A_j - A*)/theta) <= k_max = (pi/2 - A*)/theta steps has
+    A >= A* = arccos(threshold - SLACK). Samples are evaluated coarse to
+    fine: every stride-th one first, stride the largest power of two at
+    which two samples at the largest angle, pi/2, could clear the gap
+    between them, then halving down to 1, skipping what earlier levels
+    cleared. When no two todo samples lie within k_max steps of each
+    other, no evaluation can clear another, and the first stride is 1:
+    they are all evaluated at once.
 
     For rank > 1, each level first takes the super-fidelity ceiling
     F <= sqrt(G); fidelity_series runs only where it does not already
@@ -387,8 +453,11 @@ def _pruned_series(
     margin = _g_rounding(kernel.dim)
     m = times.size
     out = np.full(m, -np.inf)
-    span = int(min(max(2.0 * (math.pi / 2.0 - a_star) / theta, 1.0), m))
-    stride = 1 << (span.bit_length() - 1)
+    k_max = (math.pi / 2.0 - a_star) / theta
+    span = min(max(2.0 * k_max, 1.0), m)
+    if np.all(np.diff(np.flatnonzero(todo)) > k_max):
+        span = 1  # isolated samples: no evaluation can clear another
+    stride = 1 << (int(span).bit_length() - 1)
     while stride >= 1:
         idx = np.flatnonzero(todo[::stride]) * stride
         if idx.size:
@@ -398,11 +467,14 @@ def _pruned_series(
                 g = _super_fidelity(kernel, times[idx]) + margin
                 upper = np.sqrt(g)
                 exact = g > g_star
-            f = fidelity_series(kernel, times[idx[exact]])
-            out[idx[exact]] = f
+            if exact.any():
+                f = fidelity_series(kernel, times[idx[exact]])
+                out[idx[exact]] = f
+                # F + SLACK bounds the true F from above, so the angle from below
+                upper[exact] = np.minimum(upper[exact], f + SLACK)
             todo[idx] = False
-            # F + SLACK bounds the true F from above, so the angle from below
-            upper[exact] = np.minimum(upper[exact], f + SLACK)
+            if stride == 1:  # the last level: nothing is left to clear
+                break
             k = (np.arccos(np.minimum(1.0, upper)) - a_star) // theta
             hit = k >= 1
             if hit.any():
@@ -575,8 +647,9 @@ def stroboscopic_recurrence(
     jmax, _ = dimension_bound(rho0.dim, epsilon)
     cap = jmax_cap if math.isinf(jmax) else min(jmax_cap, math.ceil(jmax))
     kernel = make_kernel(H, rho0)
+    counts = dict.fromkeys(_COUNTS, 0)
     # grid index j is the step count: sample j sits at 0 + t*j = j*t
-    for lo, _, f in scan(kernel, Grid(0.0, t, cap + 1), start=1, threshold=epsilon):
+    for lo, _, f in _scan(kernel, Grid(0.0, t, cap + 1), 1, epsilon, counts):
         hits = np.flatnonzero(f >= epsilon)
         if hits.size:
             return StroboscopicResult(
@@ -584,9 +657,10 @@ def stroboscopic_recurrence(
                 jmax_theory=jmax,
                 cap=cap,
                 cap_exceeded=False,
+                diagnostics=counts,
             )
     return StroboscopicResult(
-        j_found=None, jmax_theory=jmax, cap=cap, cap_exceeded=cap < jmax
+        j_found=None, jmax_theory=jmax, cap=cap, cap_exceeded=cap < jmax, diagnostics=counts
     )
 
 

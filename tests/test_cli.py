@@ -245,6 +245,18 @@ class TestSearch:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    def test_unwritable_output_leaves_no_csv(self, qubit_json, tmp_path, capsys):
+        csv_path = tmp_path / "series.csv"
+        code = main(
+            ["search", "--input", qubit_json, "--threshold", "0.999", "--horizon", "7",
+             "--csv", str(csv_path), "--output", str(tmp_path / "missing" / "out.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert not csv_path.exists()
+
     @pytest.mark.parametrize(
         "flag, value", [("--dt", "0"), ("--horizon", "inf"), ("--horizon", "-5")]
     )
@@ -608,10 +620,10 @@ TRUNCATE_KEYS = {
         (
             ["strobe", "--input", "QUBIT", "--epsilon", "0.9", "--t", str(2.0 * math.pi)],
             {
-                "cap", "cap_exceeded", "epsilon", "epsilon_convention", "j_found",
-                "jmax_theory", "t", "t_rec",
+                "cap", "cap_exceeded", "diagnostics", "epsilon", "epsilon_convention",
+                "j_found", "jmax_theory", "t", "t_rec",
             },
-            {},
+            {"diagnostics": {"chunks", "samples_evaluated", "samples_sieved"}},
         ),
         (
             ["truncate", "--input", "MIXED3", "--N", "2", "--epsilon", "0.5", "--mode", "energy"],

@@ -286,11 +286,19 @@ class TestPrunedScan:
         inside = lambda f: f >= threshold  # noqa: E731
 
         def paired():
+            # the blocks tile the grid; each is compared, by grid index,
+            # with the exhaustive values read so far
             exhaustive = scan(kernel, grid)
-            for (lo, ts, f), (_, _, g) in zip(scan(kernel, grid, threshold=threshold), exhaustive):
+            g, g_lo = np.empty(0), 0  # exhaustive values of samples g_lo..
+            for lo, ts, f in scan(kernel, grid, threshold=threshold):
+                hi = lo + ts.size
+                assert lo == g_lo and np.array_equal(ts, grid.times(lo, hi))
+                while g.size < hi - g_lo:
+                    g = np.concatenate([g, next(exhaustive)[2]])
                 skipped = np.isneginf(f)
-                assert np.array_equal(f[~skipped], g[~skipped])
-                assert np.all(g[skipped] <= threshold - SLACK + 1e-12)
+                assert np.array_equal(f[~skipped], g[: ts.size][~skipped])
+                assert np.all(g[: ts.size][skipped] <= threshold - SLACK + 1e-12)
+                g, g_lo = g[ts.size :], hi
                 yield lo, ts, f
 
         found = _first_crossing(paired(), inside)
@@ -337,9 +345,12 @@ class TestPrunedScan:
         rho0 = validate_density(0.7 * np.outer(psi, psi.conj()) + 0.3 * random_density(16, rng).matrix)
         eps = 0.01 * math.pi * math.sqrt(float(rho0.populations.min()))
         grid = Grid(0.0, default_dt(H), 16_384)
-        res = find_recurrence(H, rho0, 1.0 - eps**2 / 4.0, grid)
+        threshold = 1.0 - eps**2 / 4.0
+        res = find_recurrence(H, rho0, threshold, grid)
         assert res.t_departure is not None and res.t_rec is None  # the whole grid
-        assert res.diagnostics["chunks"] == len(list(chunk_bounds(16_384, chunk_cap(sample_bytes(16, 16)))))
+        blocks = list(scan(make_kernel(H, rho0), grid, threshold=threshold))
+        assert res.diagnostics["chunks"] == len(blocks)
+        assert sum(ts.size for _, ts, _ in blocks) == grid.steps
         assert res.diagnostics["samples_evaluated"] < grid.steps / 4
 
     def test_full_rank_n32_evaluates_under_one_percent(self):
@@ -429,21 +440,25 @@ def _mixture(n, r, rng):
     return validate_density(w @ w.conj().T)
 
 
-def _sieved_samples(monkeypatch, kernel, grid, threshold, start=0):
-    """Grid indices the window sieve excluded while a threshold scan read
-    the whole grid, and that scan's F."""
-    masks = []
-    survivors = search._survivors
-
-    def recording(runs, lo, hi):
-        keep = survivors(runs, lo, hi)
-        masks.append(keep.copy())  # the scan uses its mask up
-        return keep
-
-    with monkeypatch.context() as m:
-        m.setattr(search, "_survivors", recording)
-        f = np.concatenate([g for _, _, g in scan(kernel, grid, start, threshold)])
-    return start + np.flatnonzero(~np.concatenate(masks)), f
+def _sieved_samples(kernel, grid, threshold, start=0):
+    """Grid indices outside the windows of the sieve's pairs, taken over
+    the grid block by block from _sieve_pairs and _torus_windows, and the
+    F of a threshold scan that read the whole grid; that scan excluded
+    exactly as many samples."""
+    pairs = search._sieve_pairs(kernel, grid, threshold)
+    kept = np.ones(grid.steps, dtype=bool)
+    if pairs:
+        kept[start:] = False
+        lo = start
+        while lo < grid.steps:
+            (run_lo, run_hi), lo = search._torus_windows(pairs, lo, lo + 1, grid.steps)
+            for a, b in zip(run_lo, run_hi):
+                kept[a : b + 1] = True
+    counts = dict.fromkeys(search._COUNTS, 0)
+    f = np.concatenate([g for _, _, g in search._scan(kernel, grid, start, threshold, counts)])
+    out = np.flatnonzero(~kept)
+    assert counts["samples_sieved"] == out.size
+    return out, f
 
 
 class TestTorusWindowSieve:
@@ -452,7 +467,7 @@ class TestTorusWindowSieve:
     around a multiple of 2 pi."""
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-    def test_sieved_samples_are_below_threshold(self, n, monkeypatch):
+    def test_sieved_samples_are_below_threshold(self, n):
         rng = np.random.default_rng(200 + n)
         generic = np.sort(rng.uniform(0.0, 1.0, n))
         degenerate = np.sort(rng.integers(0, 3, n)).astype(float)  # w = 0 pairs
@@ -479,13 +494,13 @@ class TestTorusWindowSieve:
                     for threshold in thresholds:
                         if not 0.0 < threshold < 1.0:
                             continue
-                        out, g = _sieved_samples(monkeypatch, kernel, grid, threshold, start)
+                        out, g = _sieved_samples(kernel, grid, threshold, start)
                         assert np.all(f[out - start] <= threshold - SLACK + 1e-12)
                         assert np.all(np.isneginf(g[out - start]))
                         sieved += out.size
         assert sieved > 0
 
-    def test_late_qubit_windows_hold_their_edge_samples(self, monkeypatch):
+    def test_late_qubit_windows_hold_their_edge_samples(self):
         # n = 2, pure: G = F^2, so a threshold just below a sample's F puts
         # that sample on its window's edge, where at t ~ 1e6 the phases'
         # rounding (~1e-10 rad at these energies) exceeds the margin left
@@ -495,7 +510,7 @@ class TestTorusWindowSieve:
         f = fidelity_series(kernel, grid.times())
         for j in np.argsort(f)[-40:]:
             threshold = f[j] + SLACK - 1e-11
-            out, _ = _sieved_samples(monkeypatch, kernel, grid, threshold)
+            out, _ = _sieved_samples(kernel, grid, threshold)
             assert j not in out
             assert np.all(f[out] <= threshold - SLACK + 1e-12)
 
@@ -515,7 +530,7 @@ class TestTorusWindowSieve:
             assert dep is not None and (rec is None) == (threshold > peaks[0])
             res = find_recurrence(H, rho0, threshold, grid)
             assert res.diagnostics["samples_sieved"] > (rec or grid.steps) // 2
-            out, _ = _sieved_samples(monkeypatch, kernel, grid, threshold)
+            out, _ = _sieved_samples(kernel, grid, threshold)
             assert np.all(f[out] <= threshold - SLACK + 1e-12)
 
     @pytest.mark.parametrize("mixed", [False, True])
@@ -539,9 +554,27 @@ class TestTorusWindowSieve:
     def test_blocks_cut_to_the_budget_hold_exactly_the_windows(self, need, applied, monkeypatch):
         # 100 windows fit and the first pair alone has about 800 on
         # 0..9999: the block is cut after its 100th, then after the second
-        # pair's 100th unless that would end it before need
+        # pair's 100th unless that would end it before need; the windows
+        # are intersected as runs only, with no pointwise finish
         monkeypatch.setattr(search, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
-        pairs = [(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)]
+        monkeypatch.setattr(search, "SIEVE_POINTWISE", 0)
+        self._check_cut_block([(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)], need, applied)
+
+    @pytest.mark.parametrize("need, applied", [(1, 2), (700, 2), (5000, 0)])
+    def test_pointwise_finish_holds_exactly_the_windows_of_a_cut_block(
+        self, need, applied, monkeypatch
+    ):
+        # as above, but about 160 samples survive the first pair's 100
+        # windows, so the second pair is tested on them sample by sample
+        # and cuts nothing, whatever need is
+        monkeypatch.setattr(search, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
+        end = self._check_cut_block([(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)], need, applied)
+        assert end == (10_000 if applied == 0 else 1232)
+
+    @staticmethod
+    def _check_cut_block(pairs, need, applied):
+        """The runs of a block cut to the budget are exactly the grid
+        samples in a window of each of the first `applied` pairs."""
         (lo, hi), end = search._torus_windows(pairs, 0, need, 10_000)
         assert need <= end <= 10_000
         kept = np.zeros(end, dtype=bool)
@@ -553,6 +586,7 @@ class TestTorusWindowSieve:
             x = np.mod(alpha + phi * j, 2.0 * math.pi)
             inside &= np.minimum(x, 2.0 * math.pi - x) <= delta
         assert np.array_equal(kept, inside)
+        return end
 
     def test_ten_million_step_scan_within_budget(self, monkeypatch):
         budget = 2**20
@@ -574,6 +608,164 @@ class TestTorusWindowSieve:
         assert res.t_rec is None  # every chunk of the grid was read
         assert res.diagnostics["samples_sieved"] > grid.steps - 100
         assert peak <= budget + 64 * 1024
+
+
+def _spectrum(kind, n, rng):
+    """Energies of the scan benchmark's kinds: box scale k^2 and oscillator
+    scale (k + 1/2) return at 2 pi/scale, random ones do not."""
+    scale = float(rng.uniform(0.5, 2.0))
+    if kind == "box":
+        return Hamiltonian(scale * np.arange(1, n + 1, dtype=float) ** 2)
+    if kind == "oscillator":
+        return Hamiltonian(scale * (np.arange(n) + 0.5))
+    return Hamiltonian(np.sort(rng.uniform(0.0, scale, n)))
+
+
+class TestPointwiseFinish:
+    """Once few samples survive, _torus_windows tests the pairs left on
+    them in one array (_in_windows); that must keep exactly the samples
+    the pair-by-pair intersection of runs keeps."""
+
+    @staticmethod
+    def _kept(runs, lo, stop):
+        kept = np.zeros(stop - lo, dtype=bool)
+        for a, b in zip(*runs):
+            kept[a - lo : b + 1 - lo] = True
+        return kept
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_equals_the_intersection_of_runs(self, n, monkeypatch):
+        rng = np.random.default_rng(300 + n)
+        checked = 0
+        for kind in ("box", "random"):
+            H = _spectrum(kind, n, rng)
+            dt = default_dt(H)
+            grids = [
+                (Grid(0.0, dt, 4096), 0),
+                (Grid(1e6, dt, 4096), 0),
+                # strobe-like: an arbitrary step length, read from index 1
+                (Grid(0.0, float(rng.uniform(0.1, 10.0)), 4096), 1),
+            ]
+            for r in (1, n):
+                kernel = make_kernel(H, _mixture(n, r, rng))
+                for grid, start in grids:
+                    for threshold in (1.0 - 1e-2, 1.0 - 1e-4, 1.0 - 1e-6):
+                        pairs = search._sieve_pairs(kernel, grid, threshold)
+                        if not pairs:
+                            continue
+                        j = np.arange(start, grid.steps, dtype=float)
+                        pointwise = search._in_windows(pairs, j)
+                        finished = search._torus_windows(pairs, start, start + 1, grid.steps)
+                        with monkeypatch.context() as m:
+                            m.setattr(search, "SIEVE_POINTWISE", 0)  # runs only
+                            runs, end = search._torus_windows(pairs, start, start + 1, grid.steps)
+                        assert end == finished[1] == grid.steps
+                        runs_only = self._kept(runs, start, grid.steps)
+                        assert np.array_equal(pointwise, runs_only)
+                        assert np.array_equal(self._kept(finished[0], start, grid.steps), runs_only)
+                        checked += 1
+        assert checked >= 12
+
+    def test_window_ends_on_grid_indices(self, monkeypatch):
+        # delta/phi = 1 and 2 about centres 4q and 8q: most window ends fall
+        # exactly on a grid index, where < in place of <= would drop them
+        pairs = [(math.pi / 2, math.pi / 2, 0.0), (math.pi / 2, math.pi / 4, 0.0)]
+        j = np.arange(4096.0)
+        centre = 2.0 * math.pi * np.rint(j / 4.0) / (math.pi / 2)
+        assert np.count_nonzero(centre - 1.0 == j) > 500
+        monkeypatch.setattr(search, "SIEVE_POINTWISE", 0)  # runs only
+        runs, _ = search._torus_windows(pairs, 0, 1, 4096)
+        assert np.array_equal(search._in_windows(pairs, j), self._kept(runs, 0, 4096))
+
+
+class TestWalk:
+    """The threshold scan builds the sieve's windows for the first chunk
+    first, yields a stretch with no survivor as one block, and finds the
+    crossings of the exhaustive scan."""
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 32])
+    @pytest.mark.parametrize("rank", [1, "full"])
+    @pytest.mark.parametrize("kind", ["commensurate", "random"])
+    def test_crossings_match_exhaustive(self, n, rank, kind, monkeypatch):
+        rng = np.random.default_rng([400, n, rank == 1, kind == "random"])
+        if kind == "commensurate":
+            kind = "box" if n < 16 else "oscillator"
+        H = _spectrum(kind, n, rng)
+        rho0 = _mixture(n, n if rank == "full" else 1, rng)
+        # as in the benchmark: a loose threshold where the spectrum returns,
+        # one so tight that a random spectrum does not within the horizon
+        u = float(rng.uniform(0.005, 0.01) if kind == "random" else rng.uniform(0.15, 0.3))
+        eps = u * math.pi * math.sqrt(float(rho0.populations.min()))
+        threshold = 1.0 - eps**2 / 4.0
+        grid = Grid(0.0, default_dt(H), 4096 if n == 32 else 8192)
+        builds, evaluated = [], []
+        windows, pruned = search._torus_windows, search._pruned_series
+
+        def recording_windows(pairs, lo, need, stop):
+            builds.append((lo, stop))
+            return windows(pairs, lo, need, stop)
+
+        def recording_pruned(kernel, times, *args):
+            evaluated.append(times[0])
+            return pruned(kernel, times, *args)
+
+        monkeypatch.setattr(search, "_torus_windows", recording_windows)
+        monkeypatch.setattr(search, "_pruned_series", recording_pruned)
+        dep, rec = TestPrunedScan._crossings(H, rho0, threshold, grid)
+        assert dep is not None
+        if kind == "random":
+            assert rec is None or n == 2  # two levels always return
+        else:
+            # these periods are 8 (n^2 - 1) <= 192 and 8 (n - 1) <= 248 steps:
+            # the return lies in the first chunk, and no window beyond it is built
+            assert rec < CHUNK_START
+            assert all(stop <= CHUNK_START for _, stop in builds)
+        # a settled block (not evaluated) is never followed by another,
+        # except at the end of the first chunk, where the sieve's first
+        # block of windows ends
+        evaluated.clear()
+        blocks = list(scan(make_kernel(H, rho0), grid, threshold=threshold))
+        settled = [ts[0] not in evaluated for _, ts, _ in blocks]
+        for (lo, _, _), this, after in zip(blocks[1:], settled, settled[1:]):
+            assert not (this and after) or lo == CHUNK_START
+        if rec is None:  # find_recurrence reads every block
+            assert find_recurrence(H, rho0, threshold, grid).diagnostics["chunks"] == len(blocks)
+
+    @pytest.mark.parametrize("gap, isolated", [(400, True), (40, False)])
+    def test_isolated_survivors_are_evaluated_in_one_call(self, gap, isolated, monkeypatch):
+        # the equal qubit superposition moves at speed 1/2: at dt = 0.01 and
+        # threshold 0.999 one sample clears at most
+        # (pi/2 - arccos(0.999 - SLACK))/0.005 = 305 steps on either side
+        kernel = make_kernel(
+            Hamiltonian(np.array([0.0, 1.0])), pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
+        )
+        times = Grid(100.0, 0.01, 2048).times()
+        todo = np.zeros(times.size, dtype=bool)
+        todo[::gap] = True
+        calls = []
+        series = search.fidelity_series
+        monkeypatch.setattr(
+            search, "fidelity_series", lambda k, ts: calls.append(ts.size) or series(k, ts)
+        )
+        out = search._pruned_series(kernel, times, 0.999, kernel.speed * 0.01, todo.copy())
+        if isolated:  # no sample can clear another: one call at stride 1
+            assert calls == [todo.sum()]
+            assert np.array_equal(out[todo], series(kernel, times[todo]))
+        else:  # the stride ladder starts coarse
+            assert calls[0] < todo.sum()
+        assert np.all(np.isneginf(out[~todo]))
+
+    def test_strobe_reports_the_counts_of_its_scan(self):
+        H, m = _mixed_rank(6, 2, 13)
+        rho0 = validate_density(m)
+        res = search.stroboscopic_recurrence(H, rho0, 0.99, 0.37, 20_000)
+        counts = dict.fromkeys(search._COUNTS, 0)
+        grid = Grid(0.0, 0.37, res.cap + 1)
+        for lo, ts, f in search._scan(make_kernel(H, rho0), grid, 1, 0.99, counts):
+            if res.j_found is not None and lo + ts.size > res.j_found:
+                break
+        assert res.diagnostics == counts
+        assert counts["chunks"] >= 1 and counts["samples_evaluated"] >= 1
 
 
 class TestTorusSurrogateOnChunkBoundaries:
