@@ -6,7 +6,9 @@ computed from absolute time; grids never accumulate phase increments,
 which keeps long scans drift-free.
 
 The kernel also carries rho0 in Gram form, rho0 = W W^dag over its
-support, which is what the fidelity scan in `search` works from.
+support, which is what the fidelity scan in `search` works from. W is
+the state's own factor (DensityMatrix.factor), so a state built by
+validate_density or pure_state is factored once, when it is built.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch
-from .metrics import gram_factor
 from .states import DensityMatrix, Hamiltonian
 
 # Memory budget, in bytes, for the temporaries of one vectorized block:
@@ -30,10 +31,10 @@ class EvolutionKernel:
     """rho0 with what its evolution needs.
 
     levels[k] = (E_k - c)/hbar with c the middle of the spectrum, so phase
-    arguments stay small; gram[k] = conj(W[k]) (x) W[k], of shape
-    (n, rank^2), for the support factor W of rho0. speed is an upper
-    bound on dE/hbar, the fastest rate at which the Bures angle
-    arccos F(rho0, rho(t)) can change (Mandelstam-Tamm).
+    arguments stay small; factor = rho0.factor, the n x rank support
+    factor W with rho0 = W W^dag. speed is an upper bound on dE/hbar, the
+    fastest rate at which the Bures angle arccos F(rho0, rho(t)) can
+    change (Mandelstam-Tamm).
 
     coherence[k, k'] = |rho_kk'|^2 and mixedness = (tr rho)^2 - tr rho^2
     (1 - tr rho^2 at unit trace) are taken from rho = W W^dag, the state
@@ -44,7 +45,7 @@ class EvolutionKernel:
 
     rho0: DensityMatrix
     levels: np.ndarray = field(repr=False)
-    gram: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
     rank: int
     speed: float
     coherence: np.ndarray = field(repr=False)
@@ -68,9 +69,8 @@ def make_kernel(H: Hamiltonian, rho0: DensityMatrix) -> EvolutionKernel:
         raise DimensionMismatch(f"state dim {rho0.dim} != spectrum length {H.dim}")
     e = H.energies
     levels = (e - (e.max() + e.min()) / 2.0) / H.hbar
-    w = gram_factor(rho0.matrix)
+    w = rho0.factor
     n, r = w.shape
-    gram = (w.conj()[:, :, None] * w[:, None, :]).reshape(n, r * r)
     coherence = np.abs(w @ w.conj().T) ** 2
     mixedness = float(np.vdot(w, w).real) ** 2 - float(coherence.sum())
     p = rho0.populations
@@ -80,9 +80,8 @@ def make_kernel(H: Hamiltonian, rho0: DensityMatrix) -> EvolutionKernel:
     # eigenvalues of under n eps each
     pad = 8.0 * n * n * np.finfo(float).eps * float(np.max(levels**2))
     levels.setflags(write=False)
-    gram.setflags(write=False)
     coherence.setflags(write=False)
-    return EvolutionKernel(rho0, levels, gram, r, math.sqrt(var + pad), coherence, mixedness)
+    return EvolutionKernel(rho0, levels, w, r, math.sqrt(var + pad), coherence, mixedness)
 
 
 def is_stationary(H: Hamiltonian, rho0: DensityMatrix) -> bool:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EigenFailure
-from .states import DensityMatrix, Hamiltonian
+# gram_factor lives with the states that carry it; it stays importable here
+from .states import DensityMatrix, Hamiltonian, gram_factor  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -32,30 +33,14 @@ class DistanceSample:
             raise ValueError("bures inconsistent with fidelity")
 
 
-def gram_factor(m: np.ndarray) -> np.ndarray:
-    """W with m = W W^dag over the support of the PSD matrix m.
-
-    The support is the eigenvalues above n * eps_mach * lambda_max; the
-    ones below it are round-off, and dropping them (rather than clipping
-    and square-rooting them) keeps their ~sqrt(eps) noise out of every
-    fidelity. W is n x r, its columns the support eigenvectors scaled by
-    the square roots of their eigenvalues.
-    """
-    try:
-        vals, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from None
-    keep = vals > m.shape[0] * np.finfo(float).eps * vals[-1]
-    return vecs[:, keep] * np.sqrt(vals[keep])
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity ||W_rho^dag W_sigma||_1 for Gram factors
-    rho = W_rho W_rho^dag and sigma = W_sigma W_sigma^dag, which equals
-    tr sqrt(sqrt(rho) sigma sqrt(rho)); clamped to [0, 1]."""
+    """Uhlmann fidelity ||W_rho^dag W_sigma||_1 for the Gram factors
+    rho = W_rho W_rho^dag and sigma = W_sigma W_sigma^dag (the states'
+    factor), which equals tr sqrt(sqrt(rho) sigma sqrt(rho)); clamped to
+    [0, 1]."""
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"{rho.dim} != {sigma.dim}")
-    overlap = gram_factor(rho.matrix).conj().T @ gram_factor(sigma.matrix)
+    overlap = rho.factor.conj().T @ sigma.factor
     try:
         sv = np.linalg.svd(overlap, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -71,10 +56,10 @@ def bures_from_fidelity(f):
 
 def bures_hp(w: np.ndarray, energies: np.ndarray, hbar: float, t: float) -> float:
     """Bures distance between rho = W W^dag / tr(W^dag W) and rho(t) from
-    F = ||W^dag U(t) W||_1 / tr(W^dag W), the scan's formula for the
-    gram_factor W of rho0, at 40 working digits: near F = 1, sqrt(2 - 2F)
-    turns float64 noise into ~1e-8. The exact trace removes the O(eps)
-    trace defect of the float64 entries."""
+    F = ||W^dag U(t) W||_1 / tr(W^dag W), the scan's formula for the Gram
+    factor W = rho0.factor, at 40 working digits: near F = 1,
+    sqrt(2 - 2F) turns float64 noise into ~1e-8. The exact trace removes
+    the O(eps) trace defect of the float64 entries."""
     import mpmath as mp  # loaded here only: nothing else in the package needs it
 
     with mp.workdps(40):

@@ -4,10 +4,12 @@ All grid scans run through one engine, `scan`. It evaluates the fidelity
 F(rho0, rho(t)) in chunks of CHUNK_START samples that double up to a cap
 set by the byte budget CHUNK_BYTES, so a scan that ends early pays for
 few samples and no chunk outgrows the budget. Per sample the kernel
-needs n phases and one r x r nuclear norm, with r the rank of rho0 (see
-`fidelity_series`). The torus surrogate walks the same chunks with the
-torus distance in place of F, and `collect_samples` builds the CSV
-distance columns from them a chunk at a time.
+needs n phases, one r x n by n x r product and one r x r nuclear norm,
+with r the rank of rho0 and W its Gram factor, which the state carries
+from its constructor (see `fidelity_series`). The torus surrogate walks
+the same chunks with the torus distance in place of F, and
+`collect_samples` builds the CSV distance columns from them a chunk at
+a time.
 
 Given a threshold, `scan` skips the samples it can prove below
 threshold - SLACK, in three steps:
@@ -34,15 +36,17 @@ threshold - SLACK, in three steps:
   below the threshold.
 
 A skipped sample reads F = -inf, so every test F >= threshold reads the
-same as on the exhaustive scan. The threshold scan walks from one
-surviving run of the sieve to the next: a stretch with no survivor is
-one block of -inf, and the chunks it evaluates start and end on a
-survivor, so its cost follows the survivors, not the grid.
+same as on the exhaustive scan. The threshold scan (`_walk`) goes from
+one surviving run of the sieve to the next: a stretch with no survivor
+is one (lo, hi) range, with no times and no values, and the chunks it
+evaluates start and end on a survivor, so its cost follows the
+survivors, not the grid. `scan` yields such a range as blocks of -inf.
 
-One rule, `_first_crossing`, reads every departure and return. The
-operational definition, recorded in every report, is: t_departure is
-the first grid time with F below the threshold, t_rec the first grid
-time after t_departure with F back at or above it.
+One rule, `_first_crossing`, reads every departure and return, and it
+reads a range as all below the threshold. The operational definition,
+recorded in every report, is: t_departure is the first grid time with F
+below the threshold, t_rec the first grid time after t_departure with F
+back at or above it.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import numpy as np
 from .bounds import SUPPORT_TOL, BoundReport, dimension_bound
 from .errors import BadParameter, GridTooCoarse
 from .evolution import CHUNK_BYTES, EvolutionKernel, is_stationary, make_kernel
-from .metrics import bures_from_fidelity, bures_hp, gram_factor, hs_norm, trace_norm
+from .metrics import bures_from_fidelity, bures_hp, hs_norm, trace_norm
 from .states import DensityMatrix, Hamiltonian
 from .torus import (
     torus_distance_series,
@@ -88,8 +92,9 @@ SIEVE_PAIRS = 16  # level pairs the window sieve intersects at most
 # about 6% slower
 SIEVE_POINTWISE = 512
 SIEVE_BYTES = 128  # peak temporary bytes per window while the sieve intersects
-# bytes per sample of a settled block while it is built and read: its
-# times (and their temporaries) and F, and the reader's mask and indices
+# bytes per sample of a settled block that scan materialises, while it is
+# built and read: its times (and their temporaries) and F, and the
+# reader's mask and indices
 SETTLED_BYTES = 64
 
 
@@ -159,8 +164,10 @@ def default_dt(H: Hamiltonian) -> float:
 
 def sample_bytes(n: int, r: int) -> int:
     """Peak temporary bytes per sample of the fidelity kernel: two complex
-    arrays of n phases and two of r^2 products."""
-    return 32 * (n + r * r)
+    rows of n phases, then at rank r > 1 the n x r product U(t) W, the
+    r x r matrix M(t) and the SVD's copy of it (at rank 1, M is one
+    number)."""
+    return 32 * n + (16 * r * (n + 2 * r) if r > 1 else 32)
 
 
 def chunk_cap(per_sample: int) -> int:
@@ -182,25 +189,27 @@ def chunk_bounds(stop: int, cap: int, start: int = 0) -> Iterator[tuple[int, int
 def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
     """F(rho0, rho(t)) for every t, vectorized over samples.
 
-    With rho0 = W W^dag, F(t) = ||W^dag U(t) W||_1 (Uhlmann). The r x r
-    matrix M(t) = W^dag U(t) W is the phase row exp(-i E t/hbar) times
-    kernel.gram, and F is the sum of its singular values; for a pure
-    state that is |sum_k p_k exp(-i E_k t/hbar)|. Each sample is computed
-    on its own, so values do not depend on how the times are split.
+    With rho0 = W W^dag (W = kernel.factor), F(t) = ||W^dag U(t) W||_1
+    (Uhlmann), U(t) = diag of the phase row exp(-i E t/hbar): the sum of
+    the singular values of the r x r matrix M(t) = W^dag U(t) W. For a
+    pure state M is the number sum_k |w_k|^2 exp(-i E_k t/hbar). Each
+    sample is a matrix product of its own, so values do not depend on
+    how the times are split.
     """
-    r = kernel.rank
+    w, r = kernel.factor, kernel.rank
     out = np.empty(times.size, dtype=float)
     step = chunk_cap(sample_bytes(kernel.dim, r))
     for lo in range(0, times.size, step):
         ts = times[lo : lo + step]
-        # one 1 x n row per sample: a plain (T x n) @ (n x r^2) product
-        # would let BLAS round a row differently with T
-        m = (kernel.phases(ts)[:, None, :] @ kernel.gram)[:, 0, :]
+        u = kernel.phases(ts)
         if r == 1:
-            out[lo : lo + ts.size] = np.abs(m[:, 0])
+            # the row u times the column |w_k|^2, one 1 x n row per sample:
+            # a plain (T x n) @ (n x 1) product would let BLAS round a row
+            # differently with T
+            out[lo : lo + ts.size] = np.abs((u[:, None, :] @ (w.conj() * w))[:, 0, 0])
         else:
-            sv = np.linalg.svd(m.reshape(-1, r, r), compute_uv=False)
-            out[lo : lo + ts.size] = sv.sum(axis=1)
+            m = w.conj().T @ (u[:, :, None] * w)
+            out[lo : lo + ts.size] = np.linalg.svd(m, compute_uv=False).sum(axis=1)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -214,7 +223,7 @@ def _chunks(
         yield lo, ts, series(ts)
 
 
-_COUNTS = ("samples_evaluated", "samples_sieved", "chunks")  # kept by _scan
+_COUNTS = ("samples_evaluated", "samples_sieved", "chunks")  # kept by _walk
 
 
 def scan(
@@ -235,13 +244,31 @@ def scan(
 def _scan(
     kernel: EvolutionKernel, grid: Grid, start: int, threshold: float | None, counts: dict
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """scan, adding to counts the blocks read, the samples evaluated in
-    them (the finite F) and the samples the window sieve excluded.
+    """scan over the blocks of _walk, adding to counts as _walk does: a
+    settled range is yielded as its times and -inf, in blocks of at most
+    CHUNK_BYTES / SETTLED_BYTES samples."""
+    size = chunk_cap(SETTLED_BYTES)
+    for lo, hi, f in _walk(kernel, grid, start, threshold, counts):
+        if f is not None:
+            yield lo, grid.times(lo, hi), f
+            continue
+        for a in range(lo, hi, size):
+            b = min(a + size, hi)
+            yield a, grid.times(a, b), np.full(b - a, -np.inf)
 
-    With a threshold the scan walks the sieve's runs: a stretch with no
-    survivor is yielded as one block of -inf, cut only where a block of
-    the sieve's windows ends or after CHUNK_BYTES / SETTLED_BYTES
-    samples, and a chunk goes from a survivor to the last survivor
+
+def _walk(
+    kernel: EvolutionKernel, grid: Grid, start: int, threshold: float | None, counts: dict
+) -> Iterator[tuple[int, int, np.ndarray | None]]:
+    """Yield (lo, hi, F) over grid samples start..steps-1, F over lo..hi-1
+    as scan gives it, or None for a settled range, a stretch with no
+    survivor, all of whose samples are proven F <= threshold - SLACK.
+    Adds to counts the blocks read, the samples evaluated in them (the
+    finite F) and the samples the window sieve excluded.
+
+    With a threshold the walk follows the sieve's runs: a settled range
+    ends only where a block of the sieve's windows ends or at the next
+    survivor, and a chunk goes from a survivor to the last survivor
     within the chunk schedule's size.
     """
     cap = chunk_cap(sample_bytes(kernel.dim, kernel.rank))
@@ -249,10 +276,9 @@ def _scan(
     steps = grid.steps
     if threshold is None or theta == 0.0:
         for lo, hi in chunk_bounds(steps, cap, start):
-            ts = grid.times(lo, hi)
             counts["chunks"] += 1
-            counts["samples_evaluated"] += ts.size
-            yield lo, ts, fidelity_series(kernel, ts)
+            counts["samples_evaluated"] += hi - lo
+            yield lo, hi, fidelity_series(kernel, grid.times(lo, hi))
         return
     pairs = _sieve_pairs(kernel, grid, threshold)
     size = min(CHUNK_START, cap)
@@ -268,22 +294,20 @@ def _scan(
         i = int(np.searchsorted(run_hi, lo))  # the first run not over before lo
         survivor = max(int(run_lo[i]), lo) if i < run_hi.size else end
         if survivor > lo:  # settled: no sample of lo..survivor-1 survives
-            hi = min(survivor, lo + chunk_cap(SETTLED_BYTES))
-            ts, f = grid.times(lo, hi), np.full(hi - lo, -np.inf)
+            hi, f = survivor, None
             counts["samples_sieved"] += hi - lo
         else:  # from this survivor to the last one within size samples
             hi = min(lo + size, end)
             last = int(np.searchsorted(run_lo, hi)) - 1  # the last run to start before hi
             hi = min(hi, int(run_hi[last]) + 1)
-            ts = grid.times(lo, hi)
             # lo lies in run i, so a chunk within it keeps every sample
             todo = np.ones(hi - lo, bool) if last == i else _survivors((run_lo, run_hi), lo, hi)
             counts["samples_sieved"] += hi - lo - int(np.count_nonzero(todo))
-            f = _pruned_series(kernel, ts, threshold, theta, todo)
+            f = _pruned_series(kernel, grid.times(lo, hi), threshold, theta, todo)
             counts["samples_evaluated"] += int(np.isfinite(f).sum())
             size = min(2 * size, cap)
         counts["chunks"] += 1
-        yield lo, ts, f
+        yield lo, hi, f
         lo = hi
 
 
@@ -434,29 +458,37 @@ def _pruned_series(
 
     The Bures angle A(t) = arccos F moves at most theta per step, so a
     sample j with angle A_j proves every sample within
-    k_j = floor((A_j - A*)/theta) <= k_max = (pi/2 - A*)/theta steps has
-    A >= A* = arccos(threshold - SLACK). Samples are evaluated coarse to
-    fine: every stride-th one first, stride the largest power of two at
-    which two samples at the largest angle, pi/2, could clear the gap
-    between them, then halving down to 1, skipping what earlier levels
-    cleared. When no two todo samples lie within k_max steps of each
-    other, no evaluation can clear another, and the first stride is 1:
-    they are all evaluated at once.
+    k_j = floor((A_j - A*)/theta) steps has A >= A* =
+    arccos(threshold - SLACK). Samples are evaluated coarse to fine:
+    every stride-th one first, stride the largest power of two at which
+    two samples at the top angle A_top could clear the gap between them
+    (k_max = (A_top - A*)/theta steps each), then halving down to 1,
+    skipping what earlier levels cleared. When no two todo samples lie
+    within k_max steps of each other, the first stride is 1: they are
+    all evaluated at once. Each clearing is proven by its own sample, so
+    A_top only sets the order of evaluation.
 
     For rank > 1, each level first takes the super-fidelity ceiling
     F <= sqrt(G); fidelity_series runs only where it does not already
     prove F <= threshold - SLACK, and the tighter of the two upper
-    bounds on F sets the angle. At rank 1, G = F^2 costs as much as F.
+    bounds on F sets the angle. As G >= mixedness, the ceiling proves no
+    angle above arccos sqrt(mixedness), which is then A_top where it
+    exceeds A*; otherwise A_top is pi/2. At rank 1, G = F^2 costs as much
+    as F.
     """
     a_star = math.acos(threshold - SLACK)
     g_star = (threshold - SLACK) ** 2
     margin = _g_rounding(kernel.dim)
     m = times.size
     out = np.full(m, -np.inf)
-    k_max = (math.pi / 2.0 - a_star) / theta
+    top = math.pi / 2.0
+    g_floor = math.sqrt(max(kernel.mixedness, 0.0))
+    if kernel.rank > 1 and g_floor < threshold - SLACK:
+        top = math.acos(g_floor)
+    k_max = (top - a_star) / theta
     span = min(max(2.0 * k_max, 1.0), m)
     if np.all(np.diff(np.flatnonzero(todo)) > k_max):
-        span = 1  # isolated samples: no evaluation can clear another
+        span = 1  # isolated samples: none is expected to clear another
     stride = 1 << (int(span).bit_length() - 1)
     while stride >= 1:
         idx = np.flatnonzero(todo[::stride]) * stride
@@ -496,9 +528,15 @@ def _first_crossing(
 ) -> tuple[int | None, int | None]:
     """Grid indices of the first departure (first sample not inside) and
     of the first return after it (first later sample inside), read from
-    (lo, times, values) chunks; stops consuming chunks at the return."""
+    (lo, times, values) chunks or the (lo, hi, values) blocks of _walk,
+    where values None is a settled range, all of it outside; stops
+    consuming chunks at the return."""
     dep = None
     for lo, _, values in chunks:
+        if values is None:  # a settled range: every sample is outside
+            if dep is None:
+                dep = lo
+            continue
         ok = inside(values)
         if dep is None:
             away = np.flatnonzero(~ok)
@@ -558,7 +596,7 @@ def find_recurrence(
     kernel = make_kernel(H, rho0)
     counts = dict.fromkeys(_COUNTS, 0)
     dep_idx, rec_idx = _first_crossing(
-        _scan(kernel, grid, 0, threshold, counts), lambda f: f >= threshold
+        _walk(kernel, grid, 0, threshold, counts), lambda f: f >= threshold
     )
     t_dep = t_rec = None
     if dep_idx is not None:
@@ -649,7 +687,9 @@ def stroboscopic_recurrence(
     kernel = make_kernel(H, rho0)
     counts = dict.fromkeys(_COUNTS, 0)
     # grid index j is the step count: sample j sits at 0 + t*j = j*t
-    for lo, _, f in _scan(kernel, Grid(0.0, t, cap + 1), 1, epsilon, counts):
+    for lo, _, f in _walk(kernel, Grid(0.0, t, cap + 1), 1, epsilon, counts):
+        if f is None:  # a settled range: no j in it returns
+            continue
         hits = np.flatnonzero(f >= epsilon)
         if hits.size:
             return StroboscopicResult(
@@ -694,5 +734,5 @@ def torus_surrogate_scan(
     t = grid.times(rec, rec + 1)
     bures = float(bures_from_fidelity(fidelity_series(make_kernel(H, rho0), t)[0]))
     if bures > r + 1e-9:  # float64 noise near F = 1; re-check at 40 digits
-        bures = bures_hp(gram_factor(rho0.matrix), H.energies, H.hbar, float(t[0]))
+        bures = bures_hp(rho0.factor, H.energies, H.hbar, float(t[0]))
     return float(t[0]), bures <= r + 1e-9

@@ -15,6 +15,7 @@ from .errors import (
     BadParameter,
     BadTrace,
     DimensionMismatch,
+    EigenFailure,
     NotHermitian,
     NotNormalized,
     NotPositive,
@@ -55,18 +56,51 @@ class Hamiltonian:
         return Hamiltonian(self.energies - lam, self.hbar)
 
 
+def _support_factor(vals: np.ndarray, vecs: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """W = vecs * sqrt(vals / scale) over the support of the ascending
+    eigenpairs (vals, vecs) of a PSD n x n matrix m, so W W^dag = m / scale.
+
+    The support is the eigenvalues above n * eps_mach * lambda_max; the
+    ones below it are round-off, and dropping them (rather than clipping
+    and square-rooting them) keeps their ~sqrt(eps) noise out of every
+    fidelity.
+    """
+    keep = vals > vals.size * np.finfo(float).eps * vals[-1]
+    return vecs[:, keep] * np.sqrt(vals[keep] / scale)
+
+
+def gram_factor(m: np.ndarray) -> np.ndarray:
+    """W with m = W W^dag over the support of the PSD matrix m: n x r, its
+    columns the support eigenvectors scaled by the square roots of their
+    eigenvalues (see _support_factor)."""
+    try:
+        vals, vecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from None
+    return _support_factor(vals, vecs)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix: Hermitian, PSD, unit trace. The constructor only
     stores the matrix read-only and checks none of these; build one from
-    raw entries with validate_density, which does."""
+    raw entries with validate_density, which does.
+
+    factor is the Gram factor W of the matrix (see gram_factor), the one
+    every fidelity is computed from. pure_state and validate_density pass
+    it in as _factor from what they already hold; otherwise it is
+    computed on first use.
+    """
 
     matrix: np.ndarray = field(repr=False)
+    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
+        if self._factor is not None:
+            self._factor.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -76,12 +110,22 @@ class DensityMatrix:
     def populations(self) -> np.ndarray:
         return self.matrix.diagonal().real
 
+    @property
+    def factor(self) -> np.ndarray:
+        """n x r Gram factor W, matrix = W W^dag over its support."""
+        if self._factor is None:
+            w = gram_factor(self.matrix)
+            w.setflags(write=False)
+            object.__setattr__(self, "_factor", w)
+        return self._factor
+
 
 def validate_density(entries) -> DensityMatrix:
     """Validate a raw matrix as a density matrix.
 
     Eigenvalues in [-1e-10, 0) are clipped to zero and the matrix is
-    re-normalized to unit trace afterwards.
+    re-normalized to unit trace afterwards. The eigenpairs of the check
+    also give the state its Gram factor.
     """
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -100,19 +144,19 @@ def validate_density(entries) -> DensityMatrix:
         vals = np.clip(vals, 0.0, None)
         m = (vecs * vals) @ vecs.conj().T
         m = (m + m.conj().T) / 2.0
-    m = m / m.trace().real
-    return DensityMatrix(m)
+    tr = m.trace().real
+    return DensityMatrix(m / tr, _support_factor(vals, vecs, tr))
 
 
 def pure_state(amplitudes) -> DensityMatrix:
     """Rank-1 projector |psi><psi| from a normalized amplitude vector."""
-    psi = np.asarray(amplitudes, dtype=complex)
+    psi = np.array(amplitudes, dtype=complex)  # a copy: it becomes the factor
     if psi.ndim != 1 or psi.size < 1:
         raise BadParameter("amplitudes must be a non-empty vector")
     norm2 = np.vdot(psi, psi).real
     if abs(norm2 - 1.0) > 1e-12:
         raise NotNormalized(f"squared norm deviates from 1 by {abs(norm2 - 1.0):.3e}")
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    return DensityMatrix(np.outer(psi, psi.conj()), psi[:, None])
 
 
 def gibbs_state(H: Hamiltonian, beta: float) -> DensityMatrix:

@@ -83,7 +83,7 @@ class _SubmersionCheck:
 
     def __init__(self, H, rho0, lam: float):
         self.H, self.lam = H, lam
-        self.w = metrics.gram_factor(rho0.matrix)
+        self.w = rho0.factor
         self.torus = torus_from_state(rho0)
         self.excess = -math.inf
 

@@ -349,6 +349,23 @@ class TestCsvColumns:
             assert [float(v) for v in torus] == torus_ref
 
 
+def test_search_csv_factors_the_state_once(tmp_path, capsys, monkeypatch):
+    # validate_density's check is the only eigh: the scan, the CSV rows and
+    # the bracket read the factor it left (three eighs before)
+    path, csv_path = tmp_path / "system.json", tmp_path / "series.csv"
+    path.write_text(json.dumps(_csv_system("full_rank")))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+    code, out = run_json(
+        ["search", "--input", str(path), "--threshold", "0.9", "--dt", "0.1",
+         "--horizon", "70", "--csv", str(csv_path)],
+        capsys,
+    )
+    assert code == 0 and out["t_rec"] is not None
+    assert len(calls) == 1
+
+
 class TestSampleLimit:
     @pytest.mark.parametrize(
         "grid, count",

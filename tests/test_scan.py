@@ -68,14 +68,30 @@ class TestKernel:
         H, psi = _pure_system(8, 0)
         k = make_kernel(H, pure_state(psi))
         assert k.rank == 1
-        assert k.gram.shape == (8, 1)
-        assert np.allclose(k.gram[:, 0], np.abs(psi) ** 2, atol=1e-15)
+        assert k.factor.shape == (8, 1)
+        assert np.array_equal(k.factor[:, 0], psi)  # the amplitudes, no eigh
 
     def test_rank_deficient_state_keeps_its_support(self):
         H, m = _mixed_rank(6, 2, 3)
-        k = make_kernel(H, validate_density(m))
+        rho0 = validate_density(m)
+        k = make_kernel(H, rho0)
         assert k.rank == 2
-        assert k.gram.shape == (6, 4)
+        assert k.factor.shape == (6, 2)
+        assert k.factor is rho0.factor
+        error = np.abs(k.factor @ k.factor.conj().T - rho0.matrix).max()
+        assert error <= 6 * 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_find_recurrence_takes_no_eigh(self, rank, monkeypatch):
+        # the state was factored when it was built; the scan reads that factor
+        H, m = _mixed_rank(6, rank, 11)
+        rho0 = pure_state(np.linalg.eigh(m)[1][:, -1]) if rank == 1 else validate_density(m)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+        for threshold in (0.9, 0.999):
+            find_recurrence(H, rho0, threshold, Grid(0.0, default_dt(H), 3000), refine=True)
+        assert calls == []
 
     def test_pure_state_matches_40_digits(self):
         # rank-deficient states used to carry a +1e-8 bias from square
@@ -730,6 +746,60 @@ class TestWalk:
             assert not (this and after) or lo == CHUNK_START
         if rec is None:  # find_recurrence reads every block
             assert find_recurrence(H, rho0, threshold, grid).diagnostics["chunks"] == len(blocks)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_settled_ranges_carry_no_arrays(self, mixed, monkeypatch):
+        # scan cuts a settled range into blocks of CHUNK_BYTES / SETTLED_BYTES
+        # samples, 1,000 here; the walk reads it as one (lo, hi) range
+        monkeypatch.setattr(search, "SETTLED_BYTES", CHUNK_BYTES // 1000)
+        rng = np.random.default_rng(16)
+        H = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, 16)))
+        rho0 = _mixture(16, 16 if mixed else 1, rng)
+        eps = 0.01 * math.pi * math.sqrt(float(rho0.populations.min()))
+        threshold, grid = 1.0 - eps**2 / 4.0, Grid(0.0, default_dt(H), 16_384)
+        kernel = make_kernel(H, rho0)
+        walk_counts, scan_counts = (dict.fromkeys(search._COUNTS, 0) for _ in range(2))
+        walk = list(search._walk(kernel, grid, 0, threshold, walk_counts))
+        blocks = list(search._scan(kernel, grid, 0, threshold, scan_counts))
+        assert walk_counts == scan_counts
+        assert walk_counts["chunks"] == len(walk) < len(blocks)
+        assert any(f is None and hi - lo > 1000 for lo, hi, f in walk)
+        dense = np.full(grid.steps, -np.inf)
+        for lo, hi, f in walk:
+            assert f is None or f.size == hi - lo
+            if f is not None:
+                dense[lo:hi] = f
+        assert np.array_equal(dense, np.concatenate([f for _, _, f in blocks]))
+        assert max(ts.size for _, ts, f in blocks if np.isneginf(f).all()) <= 1000
+        res = find_recurrence(H, rho0, threshold, grid)
+        assert res.diagnostics["chunks"] == len(walk)
+        assert _first_crossing(walk, lambda f: f >= threshold) == _first_crossing(
+            blocks, lambda f: f >= threshold
+        )
+
+    def test_first_stride_at_rank_above_one_follows_the_mixedness(self, monkeypatch):
+        # 0.9 |+><+| + 0.05 I has mixedness 0.095: the super-fidelity ceiling
+        # proves no angle above arccos sqrt(0.095) = 1.2575, so at speed 1/2,
+        # dt = 0.01 and threshold 0.999 a sample clears at most 242 steps on
+        # either side (305 at pi/2), and samples 280 apart are isolated
+        rho0 = validate_density(0.9 * np.full((2, 2), 0.5) + 0.05 * np.eye(2))
+        kernel = make_kernel(Hamiltonian(np.array([0.0, 1.0])), rho0)
+        assert kernel.rank == 2 and kernel.mixedness == pytest.approx(0.095, abs=1e-12)
+        times = Grid(100.0, 0.01, 2048).times()
+        todo = np.zeros(times.size, dtype=bool)
+        todo[::280] = True
+        calls = []
+        ceiling = search._super_fidelity
+        monkeypatch.setattr(
+            search, "_super_fidelity", lambda k, ts: calls.append(ts.size) or ceiling(k, ts)
+        )
+        out = search._pruned_series(kernel, times, 0.999, kernel.speed * 0.01, todo.copy())
+        assert calls == [todo.sum()]  # one level, at stride 1
+        exact = fidelity_series(kernel, times[todo])
+        done = np.isfinite(out[todo])
+        assert np.array_equal(out[todo][done], exact[done])
+        assert np.all(exact[~done] <= 0.999 - SLACK)
+        assert np.all(np.isneginf(out[~todo]))
 
     @pytest.mark.parametrize("gap, isolated", [(400, True), (40, False)])
     def test_isolated_survivors_are_evaluated_in_one_call(self, gap, isolated, monkeypatch):

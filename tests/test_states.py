@@ -22,7 +22,9 @@ from qrecur.errors import (
     NotNormalized,
     NotPositive,
 )
+from qrecur.metrics import gram_factor
 from qrecur.states import (
+    DensityMatrix,
     Hamiltonian,
     box_hamiltonian,
     oscillator_hamiltonian,
@@ -83,6 +85,71 @@ class TestPureState:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             pure_state([1.0, 1.0])
+
+    def test_factor_is_the_amplitudes(self):
+        rng = np.random.default_rng(5)
+        psi = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        psi /= np.linalg.norm(psi)
+        rho = pure_state(psi)
+        expected = psi.copy()
+        psi[0] = 0.0  # the state keeps its own copy
+        assert rho.factor.shape == (7, 1)
+        assert np.array_equal(rho.factor[:, 0], expected)
+        error = np.abs(rho.factor @ rho.factor.conj().T - rho.matrix).max()
+        assert error <= 2 * np.finfo(float).eps
+        assert not rho.factor.flags.writeable
+
+
+def _spectral(vals, seed):
+    """V diag(vals) V^dag for a random unitary V."""
+    rng = np.random.default_rng(seed)
+    n = len(vals)
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (v * np.asarray(vals, dtype=float)) @ v.conj().T
+
+
+class TestFactor:
+    """validate_density's factor, from the eigenpairs of its own check,
+    against gram_factor's, from a fresh eigh of the stored matrix."""
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [0.1, 0.2, 0.3, 0.4],  # full rank
+            [0.0, 0.0, 0.25, 0.75],  # rank 2
+            [0.0, 0.0, 0.0, 0.0, 1.0],  # pure
+            [1e-18, 0.3, 0.7],  # far below the cut n eps lambda_max
+            [0.1, 0.2, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0],  # rank 4 of 8
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reproduces_the_matrix_with_gram_factors_rank(self, vals, seed):
+        m = _spectral(vals, seed)
+        rho = validate_density(m / m.trace().real)
+        w, n = rho.factor, rho.dim
+        assert np.abs(w @ w.conj().T - rho.matrix).max() <= 4 * n * np.finfo(float).eps
+        assert w.shape == gram_factor(rho.matrix).shape
+        assert w.shape[1] == sum(v > 1e-17 for v in vals)
+        assert not w.flags.writeable
+
+    def test_clipped_eigenvalue(self):
+        # one eigenvalue of -5e-11 is clipped to zero and the rest renormalized
+        m = _spectral([-5e-11, 0.25, 0.75 + 5e-11], 4)
+        rho = validate_density(m)
+        w = rho.factor
+        assert w.shape == (3, 2) == gram_factor(rho.matrix).shape
+        assert np.abs(w @ w.conj().T - rho.matrix).max() <= 12 * np.finfo(float).eps
+        assert abs(np.vdot(w, w).real - 1.0) <= 12 * np.finfo(float).eps
+
+    def test_other_states_factor_on_first_use(self, monkeypatch):
+        m = _spectral([0.2, 0.3, 0.5], 6)
+        rho = DensityMatrix(m)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        w = rho.factor
+        assert rho.factor is w and calls == [1]  # computed once, then kept
+        assert np.array_equal(w, gram_factor(rho.matrix))
 
 
 class TestGibbs:
