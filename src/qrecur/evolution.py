@@ -55,10 +55,6 @@ class EvolutionKernel:
     def dim(self) -> int:
         return self.rho0.dim
 
-    @property
-    def max_frequency(self) -> float:
-        return float(self.levels.max() - self.levels.min())
-
     def phases(self, times: np.ndarray) -> np.ndarray:
         """exp(-i E_k t / hbar) up to a common phase, one row per time."""
         return np.exp(-1j * np.multiply.outer(times, self.levels))
@@ -97,8 +93,10 @@ def is_stationary(H: Hamiltonian, rho0: DensityMatrix) -> bool:
 
 
 def evolve(kernel: EvolutionKernel, t: float) -> DensityMatrix:
-    """rho(t) with entries rho0[k, k'] * exp(i (E_k' - E_k) t / hbar)."""
+    """rho(t) with entries rho0[k, k'] * exp(i (E_k' - E_k) t / hbar), and
+    its Gram factor diag(u) W for the phase row u: U(t) W W^dag U(t)^dag
+    = rho(t), so no fidelity with it takes an eigendecomposition."""
     if not np.isfinite(t):
         raise BadParameter("t must be finite")
     u = kernel.phases(float(t))
-    return DensityMatrix(kernel.rho0.matrix * np.outer(u, u.conj()))
+    return DensityMatrix(kernel.rho0.matrix * np.outer(u, u.conj()), u[:, None] * kernel.factor)

@@ -35,18 +35,20 @@ threshold - SLACK, in three steps:
   phase row, skips the r x r nuclear norm where it already proves F
   below the threshold.
 
-A skipped sample reads F = -inf, so every test F >= threshold reads the
-same as on the exhaustive scan. The threshold scan (`_walk`) goes from
-one surviving run of the sieve to the next: a stretch with no survivor
-is one (lo, hi) range, with no times and no values, and the chunks it
-evaluates start and end on a survivor, so its cost follows the
-survivors, not the grid. `scan` yields such a range as blocks of -inf.
+`scan` yields one block shape, (lo, hi, F | None), that tiles the grid.
+It goes from one surviving run of the sieve to the next: a stretch with
+no survivor is one settled (lo, hi) range with F = None, no times and
+no values, and the chunks it evaluates start and end on a survivor, so
+its cost follows the survivors, not the grid. Within a chunk a skipped
+sample reads F = -inf, so every test F >= threshold reads the same as
+on the exhaustive scan. Without a threshold the same walk has one run
+over the grid and evaluates every sample.
 
 One rule, `_first_crossing`, reads every departure and return, and it
-reads a range as all below the threshold. The operational definition,
-recorded in every report, is: t_departure is the first grid time with F
-below the threshold, t_rec the first grid time after t_departure with F
-back at or above it.
+reads a settled range as all below the threshold. The operational
+definition, recorded in every report, is: t_departure is the first grid
+time with F below the threshold, t_rec the first grid time after
+t_departure with F back at or above it.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ SIEVE_PAIRS = 16  # level pairs the window sieve intersects at most
 # about 6% slower
 SIEVE_POINTWISE = 512
 SIEVE_BYTES = 128  # peak temporary bytes per window while the sieve intersects
-# bytes per sample of a settled block that scan materialises, while it is
-# built and read: its times (and their temporaries) and F, and the
-# reader's mask and indices
-SETTLED_BYTES = 64
 
 
 def _g_rounding(n: int) -> float:
@@ -213,74 +211,36 @@ def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def _chunks(
-    grid: Grid, cap: int, series: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (lo, times, series(times)) over the grid in the blocks of
-    chunk_bounds; lo is the grid index of times[0]."""
-    for lo, hi in chunk_bounds(grid.steps, cap):
-        ts = grid.times(lo, hi)
-        yield lo, ts, series(ts)
-
-
-_COUNTS = ("samples_evaluated", "samples_sieved", "chunks")  # kept by _walk
+_COUNTS = ("samples_evaluated", "samples_sieved", "chunks")  # kept by scan
 
 
 def scan(
-    kernel: EvolutionKernel, grid: Grid, start: int = 0, threshold: float | None = None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (lo, times, F) over grid samples start..steps-1 in blocks
-    that tile them in order. Stop iterating to stop the scan.
-
-    Without a threshold every sample is evaluated, in growing chunks (see
-    chunk_bounds). With one, a sample the window sieve or the speed limit
-    proves to have F <= threshold - SLACK is not evaluated and carries
-    F = -inf; every other value is the one fidelity_series gives, so a
-    test F >= threshold reads the same on both.
-    """
-    return _scan(kernel, grid, start, threshold, dict.fromkeys(_COUNTS, 0))
-
-
-def _scan(
-    kernel: EvolutionKernel, grid: Grid, start: int, threshold: float | None, counts: dict
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """scan over the blocks of _walk, adding to counts as _walk does: a
-    settled range is yielded as its times and -inf, in blocks of at most
-    CHUNK_BYTES / SETTLED_BYTES samples."""
-    size = chunk_cap(SETTLED_BYTES)
-    for lo, hi, f in _walk(kernel, grid, start, threshold, counts):
-        if f is not None:
-            yield lo, grid.times(lo, hi), f
-            continue
-        for a in range(lo, hi, size):
-            b = min(a + size, hi)
-            yield a, grid.times(a, b), np.full(b - a, -np.inf)
-
-
-def _walk(
-    kernel: EvolutionKernel, grid: Grid, start: int, threshold: float | None, counts: dict
+    kernel: EvolutionKernel,
+    grid: Grid,
+    start: int = 0,
+    threshold: float | None = None,
+    counts: dict | None = None,
 ) -> Iterator[tuple[int, int, np.ndarray | None]]:
-    """Yield (lo, hi, F) over grid samples start..steps-1, F over lo..hi-1
-    as scan gives it, or None for a settled range, a stretch with no
-    survivor, all of whose samples are proven F <= threshold - SLACK.
-    Adds to counts the blocks read, the samples evaluated in them (the
-    finite F) and the samples the window sieve excluded.
+    """Yield (lo, hi, F) blocks that tile grid samples start..steps-1 in
+    order: F over lo..hi-1, or None for a settled range, all of whose
+    samples are proven F <= threshold - SLACK. Stop iterating to stop the
+    scan. Adds to counts (keys _COUNTS) the blocks read, the samples
+    evaluated in them (the finite F) and those the window sieve excluded.
 
-    With a threshold the walk follows the sieve's runs: a settled range
-    ends only where a block of the sieve's windows ends or at the next
-    survivor, and a chunk goes from a survivor to the last survivor
-    within the chunk schedule's size.
+    The walk goes from one surviving run of the sieve to the next: a
+    settled range ends where a block of the sieve's windows ends or at
+    the next survivor, and a chunk goes from a survivor to the last one
+    within the chunk schedule's size. In a chunk a skipped sample reads
+    F = -inf, and every other F is the one fidelity_series gives.
+    Without a threshold, or for a state that does not move, one run
+    covers the grid: the chunks are those of chunk_bounds.
     """
+    counts = dict.fromkeys(_COUNTS, 0) if counts is None else counts
     cap = chunk_cap(sample_bytes(kernel.dim, kernel.rank))
     theta = kernel.speed * grid.dt
     steps = grid.steps
-    if threshold is None or theta == 0.0:
-        for lo, hi in chunk_bounds(steps, cap, start):
-            counts["chunks"] += 1
-            counts["samples_evaluated"] += hi - lo
-            yield lo, hi, fidelity_series(kernel, grid.times(lo, hi))
-        return
-    pairs = _sieve_pairs(kernel, grid, threshold)
+    prune = threshold is not None and theta > 0.0
+    pairs = _sieve_pairs(kernel, grid, threshold) if prune else []
     size = min(CHUNK_START, cap)
     # the sieve's runs cover lo..end-1; its first block is the first
     # chunk, so a scan that returns there builds no more windows
@@ -300,10 +260,14 @@ def _walk(
             hi = min(lo + size, end)
             last = int(np.searchsorted(run_lo, hi)) - 1  # the last run to start before hi
             hi = min(hi, int(run_hi[last]) + 1)
-            # lo lies in run i, so a chunk within it keeps every sample
-            todo = np.ones(hi - lo, bool) if last == i else _survivors((run_lo, run_hi), lo, hi)
-            counts["samples_sieved"] += hi - lo - int(np.count_nonzero(todo))
-            f = _pruned_series(kernel, grid.times(lo, hi), threshold, theta, todo)
+            ts = grid.times(lo, hi)
+            if prune:
+                # lo lies in run i, so a chunk within it keeps every sample
+                todo = np.ones(hi - lo, bool) if last == i else _survivors((run_lo, run_hi), lo, hi)
+                counts["samples_sieved"] += hi - lo - int(np.count_nonzero(todo))
+                f = _pruned_series(kernel, ts, threshold, theta, todo)
+            else:
+                f = fidelity_series(kernel, ts)
             counts["samples_evaluated"] += int(np.isfinite(f).sum())
             size = min(2 * size, cap)
         counts["chunks"] += 1
@@ -523,16 +487,16 @@ def _pruned_series(
 
 
 def _first_crossing(
-    chunks: Iterable[tuple[int, np.ndarray, np.ndarray]],
+    blocks: Iterable[tuple[int, int, np.ndarray | None]],
     inside: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[int | None, int | None]:
     """Grid indices of the first departure (first sample not inside) and
     of the first return after it (first later sample inside), read from
-    (lo, times, values) chunks or the (lo, hi, values) blocks of _walk,
-    where values None is a settled range, all of it outside; stops
-    consuming chunks at the return."""
+    (lo, hi, values) blocks as scan yields them, where values None is a
+    settled range, all of it outside; stops consuming blocks at the
+    return."""
     dep = None
-    for lo, _, values in chunks:
+    for lo, _, values in blocks:
         if values is None:  # a settled range: every sample is outside
             if dep is None:
                 dep = lo
@@ -596,7 +560,7 @@ def find_recurrence(
     kernel = make_kernel(H, rho0)
     counts = dict.fromkeys(_COUNTS, 0)
     dep_idx, rec_idx = _first_crossing(
-        _walk(kernel, grid, 0, threshold, counts), lambda f: f >= threshold
+        scan(kernel, grid, 0, threshold, counts), lambda f: f >= threshold
     )
     t_dep = t_rec = None
     if dep_idx is not None:
@@ -687,7 +651,7 @@ def stroboscopic_recurrence(
     kernel = make_kernel(H, rho0)
     counts = dict.fromkeys(_COUNTS, 0)
     # grid index j is the step count: sample j sits at 0 + t*j = j*t
-    for lo, _, f in _walk(kernel, Grid(0.0, t, cap + 1), 1, epsilon, counts):
+    for lo, _, f in scan(kernel, Grid(0.0, t, cap + 1), 1, epsilon, counts):
         if f is None:  # a settled range: no j in it returns
             continue
         hits = np.flatnonzero(f >= epsilon)
@@ -720,12 +684,11 @@ def torus_surrogate_scan(
         raise BadParameter("need r > 0")
     torus = torus_from_state(rho0)
     lam = float(H.energies @ rho0.populations)
-    chunks = _chunks(
-        grid,
-        chunk_cap(40 * torus.dim),
-        lambda ts: torus_distance_series(torus, torus_phase_at(H, lam, ts)),
+    blocks = (
+        (lo, hi, torus_distance_series(torus, torus_phase_at(H, lam, grid.times(lo, hi))))
+        for lo, hi in chunk_bounds(grid.steps, chunk_cap(40 * torus.dim))
     )
-    dep, rec = _first_crossing(chunks, lambda d: d <= r)
+    dep, rec = _first_crossing(blocks, lambda d: d <= r)
     if dep is None:
         # never leaves the ball: the very first sample is a recurrence witness
         return float(grid.times(0, 1)[0]), True

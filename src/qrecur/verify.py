@@ -17,7 +17,7 @@ from .errors import PreconditionViolated, StationaryState
 from .evolution import evolve, make_kernel
 # fidelity_series stays importable from this module: benchmarks/tracing.py
 # wraps the name here as well as in search
-from .search import Grid, default_dt, fidelity_series  # noqa: F401
+from .search import Grid, chunk_bounds, chunk_cap, default_dt, fidelity_series  # noqa: F401
 from .torus import (
     FiniteMetricSpace,
     metric_recurrence_oracle,
@@ -56,17 +56,16 @@ def gamma_product_log(base: float, steps: int, log_gamma_base: float) -> float:
 
 def monte_carlo_cap_volume(n: int, r: float, samples: int, seed: int) -> float:
     """Monte Carlo volume of the geodesic ball of radius r in the unit
-    n-sphere, via uniform Gaussians on the embedding space."""
+    n-sphere, via uniform Gaussians on the embedding space, drawn in the
+    blocks of the chunk schedule at 8 (2 n + 5) bytes per sample: n + 1
+    normals, their squares, the norm and two blocks' cosines."""
     full = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
     rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    while done < samples:
-        block = min(samples - done, 2_000_000)
-        x = rng.standard_normal((block, n + 1))
+    for lo, hi in chunk_bounds(samples, chunk_cap(8 * (2 * n + 5))):
+        x = rng.standard_normal((hi - lo, n + 1))
         cosang = x[:, 0] / np.linalg.norm(x, axis=1)
         hits += int((np.arccos(np.clip(cosang, -1.0, 1.0)) <= r).sum())
-        done += block
     return full * hits / samples
 
 
@@ -87,9 +86,10 @@ class _SubmersionCheck:
         self.torus = torus_from_state(rho0)
         self.excess = -math.inf
 
-    def watch(self, chunks):
-        """Pass (lo, times, F) chunks through, checking each on the way."""
-        for lo, times, f in chunks:
+    def watch(self, blocks, grid):
+        """Pass the (lo, hi, F) blocks of an exhaustive grid scan through, checking each."""
+        for lo, hi, f in blocks:
+            times = grid.times(lo, hi)
             bures = metrics.bures_from_fidelity(f)
             tdist = torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
             start = times == 0.0
@@ -98,7 +98,7 @@ class _SubmersionCheck:
             for j in np.flatnonzero((bures > tdist + 1e-9) & ~start):
                 hp = metrics.bures_hp(self.w, self.H.energies, self.H.hbar, float(times[j]))
                 self.excess = max(self.excess, hp - float(tdist[j]))
-            yield lo, times, f
+            yield lo, hi, f
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +169,9 @@ def bracket_ensemble_suite(
         checked += 1
         kernel = make_kernel(H, rho0)
         submersion = _SubmersionCheck(H, rho0, report.lambda_shift)
+        grid = Grid(0.0, dt, steps)
         dep_idx, rec_idx = search._first_crossing(
-            submersion.watch(search.scan(kernel, Grid(0.0, dt, steps))),
+            submersion.watch(search.scan(kernel, grid), grid),
             lambda f: f >= threshold,
         )
         submersion_excess = max(submersion_excess, submersion.excess)

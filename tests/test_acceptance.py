@@ -128,7 +128,8 @@ def test_criterion_08_submersion_inequality(ensemble):
     H = qubit_hamiltonian(1.0)
     rho0 = pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
     check = verify._SubmersionCheck(H, rho0, float(H.energies @ rho0.populations))
-    for _ in check.watch(search.scan(make_kernel(H, rho0), Grid(0.0, default_dt(H), 64))):
+    grid = Grid(0.0, default_dt(H), 64)
+    for _ in check.watch(search.scan(make_kernel(H, rho0), grid), grid):
         pass
     qubit_excess = check.excess
     ok = ens_ok and qubit_excess <= 1e-9

@@ -1,5 +1,7 @@
 """The public export list and the import graph of the package."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +31,19 @@ def test_import_loads_neither_scipy_nor_mpmath():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_traced_attribute_resolves(monkeypatch):
+    """The benchmark's tracer wraps these module attributes by name, so a
+    rename under src/ breaks its traced runs."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_qrecur_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ as it is
+    spec.loader.exec_module(tracing)
+    missing = [
+        (modname, attr)
+        for modname, attr, _, _ in tracing.TARGETS
+        if not hasattr(importlib.import_module(modname), attr)
+    ]
+    assert len(tracing.TARGETS) >= 18 and missing == []

@@ -93,6 +93,20 @@ class TestKernel:
             find_recurrence(H, rho0, threshold, Grid(0.0, default_dt(H), 3000), refine=True)
         assert calls == []
 
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_fidelity_with_an_evolved_state_takes_no_eigh(self, rank, monkeypatch):
+        # evolve hands rho(t) its Gram factor diag(u) W with the matrix
+        H, m = _mixed_rank(6, rank, 17)
+        rho0 = pure_state(np.linalg.eigh(m)[1][:, -1]) if rank == 1 else validate_density(m)
+        kernel = make_kernel(H, rho0)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+        for t in (0.0, 0.7, 123.4):
+            f = fidelity(rho0, evolve(kernel, t))
+            assert f == pytest.approx(fidelity_series(kernel, np.array([t]))[0], abs=1e-15)
+        assert calls == []
+
     def test_pure_state_matches_40_digits(self):
         # rank-deficient states used to carry a +1e-8 bias from square
         # roots of clipped round-off eigenvalues
@@ -189,6 +203,23 @@ class TestChunkSchedule:
         assert rows == times.size
         assert peak <= budget + 2 * times.nbytes + 64 * 1024
 
+    def test_monte_carlo_cap_volume_peak_within_budget(self):
+        # one block of 2,000,000 x (n + 1) normals took 32 MB per 1,000,000
+        # samples at n = 3, and its temporaries 80 MB
+        verify.monte_carlo_cap_volume(3, 1.0, 10, 0)  # the generator's first use imports modules
+        tracemalloc.start()
+        try:
+            verify.monte_carlo_cap_volume(3, math.pi / 2.0, 1_000_000, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CHUNK_BYTES + 64 * 1024
+
+    def test_monte_carlo_cap_volume_does_not_depend_on_the_blocks(self, monkeypatch):
+        whole = verify.monte_carlo_cap_volume(3, 1.0, 100_000, 7)
+        monkeypatch.setattr(search, "CHUNK_BYTES", 2**12)  # 46 samples a block
+        assert verify.monte_carlo_cap_volume(3, 1.0, 100_000, 7) == whole
+
 
 class TestSplitInvariance:
     @pytest.mark.parametrize("n, r", [(2, 1), (16, 1), (5, 5), (6, 2), (16, 16)])
@@ -265,15 +296,17 @@ class TestFirstCrossingOnChunkBoundaries:
         grid = Grid(0.0, 2.0 * math.pi / 700.5, 5000)
         seen = []
 
-        def chunks():
-            for chunk in self._scan(grid, 0.9):
-                seen.append(chunk[1])
-                yield chunk
+        def blocks():
+            for block in self._scan(grid, 0.9):
+                seen.append(block[:2])
+                yield block
 
-        dep, rec = _first_crossing(chunks(), lambda f: f >= 0.9)
-        times = np.concatenate(seen)
-        assert np.array_equal(times, grid.times(0, times.size))
-        assert rec < times.size <= 2 * rec
+        dep, rec = _first_crossing(blocks(), lambda f: f >= 0.9)
+        # the blocks read tile 0..hi in order, and stop in the return's chunk
+        los, his = zip(*seen)
+        hi = his[-1]
+        assert los == (0, *his[:-1])
+        assert rec < hi <= 2 * rec
 
 
 class TestPrunedFirstCrossingOnChunkBoundaries(TestFirstCrossingOnChunkBoundaries):
@@ -303,19 +336,23 @@ class TestPrunedScan:
 
         def paired():
             # the blocks tile the grid; each is compared, by grid index,
-            # with the exhaustive values read so far
+            # with the exhaustive values read so far; a settled range (F
+            # None) is held to the bound of a skipped sample throughout
             exhaustive = scan(kernel, grid)
             g, g_lo = np.empty(0), 0  # exhaustive values of samples g_lo..
-            for lo, ts, f in scan(kernel, grid, threshold=threshold):
-                hi = lo + ts.size
-                assert lo == g_lo and np.array_equal(ts, grid.times(lo, hi))
+            for lo, hi, f in scan(kernel, grid, threshold=threshold):
+                assert lo == g_lo and hi > lo
                 while g.size < hi - g_lo:
                     g = np.concatenate([g, next(exhaustive)[2]])
-                skipped = np.isneginf(f)
-                assert np.array_equal(f[~skipped], g[: ts.size][~skipped])
-                assert np.all(g[: ts.size][skipped] <= threshold - SLACK + 1e-12)
-                g, g_lo = g[ts.size :], hi
-                yield lo, ts, f
+                if f is None:
+                    assert np.all(g[: hi - lo] <= threshold - SLACK + 1e-12)
+                else:
+                    assert f.size == hi - lo
+                    skipped = np.isneginf(f)
+                    assert np.array_equal(f[~skipped], g[: hi - lo][~skipped])
+                    assert np.all(g[: hi - lo][skipped] <= threshold - SLACK + 1e-12)
+                g, g_lo = g[hi - lo :], hi
+                yield lo, hi, f
 
         found = _first_crossing(paired(), inside)
         assert found == _first_crossing(scan(kernel, grid), inside)
@@ -366,7 +403,8 @@ class TestPrunedScan:
         assert res.t_departure is not None and res.t_rec is None  # the whole grid
         blocks = list(scan(make_kernel(H, rho0), grid, threshold=threshold))
         assert res.diagnostics["chunks"] == len(blocks)
-        assert sum(ts.size for _, ts, _ in blocks) == grid.steps
+        assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+        assert blocks[-1][1] == grid.steps
         assert res.diagnostics["samples_evaluated"] < grid.steps / 4
 
     def test_full_rank_n32_evaluates_under_one_percent(self):
@@ -459,8 +497,8 @@ def _mixture(n, r, rng):
 def _sieved_samples(kernel, grid, threshold, start=0):
     """Grid indices outside the windows of the sieve's pairs, taken over
     the grid block by block from _sieve_pairs and _torus_windows, and the
-    F of a threshold scan that read the whole grid; that scan excluded
-    exactly as many samples."""
+    F of a threshold scan that read the whole grid, -inf on its settled
+    ranges; that scan excluded exactly as many samples."""
     pairs = search._sieve_pairs(kernel, grid, threshold)
     kept = np.ones(grid.steps, dtype=bool)
     if pairs:
@@ -471,7 +509,10 @@ def _sieved_samples(kernel, grid, threshold, start=0):
             for a, b in zip(run_lo, run_hi):
                 kept[a : b + 1] = True
     counts = dict.fromkeys(search._COUNTS, 0)
-    f = np.concatenate([g for _, _, g in search._scan(kernel, grid, start, threshold, counts)])
+    f = np.full(grid.steps - start, -np.inf)
+    for lo, hi, g in scan(kernel, grid, start, threshold, counts):
+        if g is not None:
+            f[lo - start : hi - start] = g
     out = np.flatnonzero(~kept)
     assert counts["samples_sieved"] == out.size
     return out, f
@@ -741,41 +782,40 @@ class TestWalk:
         # block of windows ends
         evaluated.clear()
         blocks = list(scan(make_kernel(H, rho0), grid, threshold=threshold))
-        settled = [ts[0] not in evaluated for _, ts, _ in blocks]
+        settled = [f is None for _, _, f in blocks]
+        assert settled == [grid.times(lo, lo + 1)[0] not in evaluated for lo, _, _ in blocks]
         for (lo, _, _), this, after in zip(blocks[1:], settled, settled[1:]):
             assert not (this and after) or lo == CHUNK_START
         if rec is None:  # find_recurrence reads every block
             assert find_recurrence(H, rho0, threshold, grid).diagnostics["chunks"] == len(blocks)
 
     @pytest.mark.parametrize("mixed", [False, True])
-    def test_settled_ranges_carry_no_arrays(self, mixed, monkeypatch):
-        # scan cuts a settled range into blocks of CHUNK_BYTES / SETTLED_BYTES
-        # samples, 1,000 here; the walk reads it as one (lo, hi) range
-        monkeypatch.setattr(search, "SETTLED_BYTES", CHUNK_BYTES // 1000)
+    def test_settled_ranges_carry_no_arrays(self, mixed):
+        # a stretch with no survivor is one (lo, hi) range, however long
         rng = np.random.default_rng(16)
         H = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, 16)))
         rho0 = _mixture(16, 16 if mixed else 1, rng)
         eps = 0.01 * math.pi * math.sqrt(float(rho0.populations.min()))
         threshold, grid = 1.0 - eps**2 / 4.0, Grid(0.0, default_dt(H), 16_384)
         kernel = make_kernel(H, rho0)
-        walk_counts, scan_counts = (dict.fromkeys(search._COUNTS, 0) for _ in range(2))
-        walk = list(search._walk(kernel, grid, 0, threshold, walk_counts))
-        blocks = list(search._scan(kernel, grid, 0, threshold, scan_counts))
-        assert walk_counts == scan_counts
-        assert walk_counts["chunks"] == len(walk) < len(blocks)
-        assert any(f is None and hi - lo > 1000 for lo, hi, f in walk)
-        dense = np.full(grid.steps, -np.inf)
-        for lo, hi, f in walk:
+        counts = dict.fromkeys(search._COUNTS, 0)
+        blocks = list(scan(kernel, grid, 0, threshold, counts))
+        assert counts["chunks"] == len(blocks)
+        assert any(f is None and hi - lo > 1000 for lo, hi, f in blocks)
+        for lo, hi, f in blocks:
             assert f is None or f.size == hi - lo
+        res = find_recurrence(H, rho0, threshold, grid)
+        assert res.diagnostics == {**counts, "missable_depth": res.diagnostics["missable_depth"]}
+        # the crossings read as from the grid with -inf on every settled
+        # sample, and as from the exhaustive scan
+        dense = np.full(grid.steps, -np.inf)
+        for lo, hi, f in blocks:
             if f is not None:
                 dense[lo:hi] = f
-        assert np.array_equal(dense, np.concatenate([f for _, _, f in blocks]))
-        assert max(ts.size for _, ts, f in blocks if np.isneginf(f).all()) <= 1000
-        res = find_recurrence(H, rho0, threshold, grid)
-        assert res.diagnostics["chunks"] == len(walk)
-        assert _first_crossing(walk, lambda f: f >= threshold) == _first_crossing(
-            blocks, lambda f: f >= threshold
-        )
+        inside = lambda f: f >= threshold  # noqa: E731
+        found = _first_crossing(blocks, inside)
+        assert found == _first_crossing([(0, grid.steps, dense)], inside)
+        assert found == _first_crossing(scan(kernel, grid), inside)
 
     def test_first_stride_at_rank_above_one_follows_the_mixedness(self, monkeypatch):
         # 0.9 |+><+| + 0.05 I has mixedness 0.095: the super-fidelity ceiling
@@ -831,8 +871,8 @@ class TestWalk:
         res = search.stroboscopic_recurrence(H, rho0, 0.99, 0.37, 20_000)
         counts = dict.fromkeys(search._COUNTS, 0)
         grid = Grid(0.0, 0.37, res.cap + 1)
-        for lo, ts, f in search._scan(make_kernel(H, rho0), grid, 1, 0.99, counts):
-            if res.j_found is not None and lo + ts.size > res.j_found:
+        for _, hi, _ in scan(make_kernel(H, rho0), grid, 1, 0.99, counts):
+            if res.j_found is not None and hi > res.j_found:
                 break
         assert res.diagnostics == counts
         assert counts["chunks"] >= 1 and counts["samples_evaluated"] >= 1
@@ -873,7 +913,7 @@ class TestTorusSurrogateOnChunkBoundaries:
         streamed = np.concatenate(seen)
         assert np.array_equal(streamed, whole[: streamed.size])
         los = np.cumsum([0] + [d.size for d in seen[:-1]])
-        chunks = [(lo, None, d) for lo, d in zip(los, seen)]
+        chunks = [(lo, lo + d.size, d) for lo, d in zip(los, seen)]
         assert _first_crossing(chunks, lambda d: d <= r) == expected
         assert los[-1] <= expected[1] < streamed.size
         assert t == grid.times()[expected[1]] and bures_ok

@@ -262,7 +262,7 @@ class TestLipschitzContinuity:
         ts = np.arange(0.0, 400.0 * dt, dt)
         f = fidelity_series(k, ts)
         # slope never exceeds the fastest oscillation (factor-2 slack)
-        assert np.abs(np.diff(f)).max() <= 2.0 * dt * k.max_frequency
+        assert np.abs(np.diff(f)).max() <= 2.0 * dt * np.ptp(k.levels)
 
 
 class TestDimensionCeilingHolds:

@@ -185,7 +185,7 @@ class TestSubmersionInequality:
         flagged = np.flatnonzero((bures > tdist + 1e-9) & (times > 0.0))
         assert flagged.size > 0
         check = verify._SubmersionCheck(H, rho0, lam)
-        for _ in check.watch(scan(kernel, grid)):
+        for _ in check.watch(scan(kernel, grid), grid):
             pass
         assert rechecked == times[flagged].tolist()
         assert check.excess <= 1e-9
