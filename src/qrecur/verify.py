@@ -15,9 +15,10 @@ import numpy as np
 from . import bounds, metrics, search, states, torus
 from .errors import PreconditionViolated, StationaryState
 from .evolution import evolve, make_kernel
+from .search import Grid, chunk_bounds, chunk_cap, default_dt
 # fidelity_series stays importable from this module: benchmarks/tracing.py
 # wraps the name here as well as in search
-from .search import Grid, chunk_bounds, chunk_cap, default_dt, fidelity_series  # noqa: F401
+from .search import fidelity_series  # noqa: F401
 from .torus import (
     FiniteMetricSpace,
     metric_recurrence_oracle,
