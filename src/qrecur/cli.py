@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", default="auto", help="grid step or 'auto'")
     p.add_argument("--horizon", default="auto", help="scan horizon (time) or 'auto'")
     p.add_argument("--allow-coarse", action="store_true")
-    p.add_argument("--refine", action="store_true", help="bisection-refine crossings")
+    p.add_argument("--refine", action="store_true", help="first crossings on a dt/1024 grid")
     p.add_argument("--output", help="result JSON path (default stdout)")
     p.add_argument("--csv", help="time-series CSV path")
     p.set_defaults(fn=_cmd_search)

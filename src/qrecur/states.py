@@ -221,6 +221,13 @@ def random_density(n: int, seed) -> DensityMatrix:
     return validate_density(m / m.trace().real)
 
 
+def _number(name: str, value) -> float:
+    """value as a float if it is a JSON number, else BadParameter naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadParameter(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def system_from_dict(spec: dict) -> tuple[Hamiltonian, DensityMatrix]:
     """Parse the JSON system description consumed by the CLI.
 
@@ -233,7 +240,9 @@ def system_from_dict(spec: dict) -> tuple[Hamiltonian, DensityMatrix]:
         state = spec["state"]
     except (KeyError, TypeError) as exc:
         raise BadParameter(f"missing system field: {exc}") from None
-    H = Hamiltonian(np.asarray(energies, dtype=float), float(spec.get("hbar", 1.0)))
+    if not isinstance(state, dict) or not isinstance(state.get("gibbs", {}), dict):
+        raise BadParameter(f"state is not one of matrix, pure, diagonal or gibbs: {state!r}")
+    H = Hamiltonian(np.asarray(energies, dtype=float), _number("hbar", spec.get("hbar", 1.0)))
     if "matrix" in state:
         raw = np.asarray(state["matrix"], dtype=float)
         if raw.ndim != 3 or raw.shape[2] != 2:
@@ -247,7 +256,7 @@ def system_from_dict(spec: dict) -> tuple[Hamiltonian, DensityMatrix]:
     elif "diagonal" in state:
         rho = validate_density(np.diag(np.asarray(state["diagonal"], dtype=complex)))
     elif "gibbs" in state:
-        rho = gibbs_state(H, float(state["gibbs"]["beta"]))
+        rho = gibbs_state(H, _number("state.gibbs.beta", state["gibbs"].get("beta")))
     else:
         raise BadParameter("state must contain matrix, pure, diagonal or gibbs")
     if rho.dim != H.dim:

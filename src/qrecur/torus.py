@@ -181,6 +181,8 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "FiniteMetricSpace":
+        if not isinstance(spec["points"], list):
+            raise BadDomain(f"points must be a list, got {spec['points']!r}")
         return cls(
             points=tuple(spec["points"]),
             dist=np.asarray(spec["dist"], dtype=float),
@@ -211,7 +213,7 @@ def metric_recurrence_oracle(
     m = space.size
     if not 0 <= p < m:
         raise BadDomain(f"point {p} is not one of the points 0..{m - 1}")
-    if sorted(perm.tolist()) != list(range(m)):
+    if perm.ndim != 1 or sorted(perm.tolist()) != list(range(m)):
         raise BadDomain("permutation must be a bijection on the points")
     d = space.dist
     if np.abs(d[np.ix_(perm, perm)] - d).max() > METRIC_TOL:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import bounds, metrics, search, states, torus
-from .errors import PreconditionViolated, StationaryState
+from .errors import BadParameter, PreconditionViolated, StationaryState
 from .evolution import evolve, make_kernel
 from .search import Grid, chunk_bounds, chunk_cap, default_dt
 # fidelity_series stays importable from this module: benchmarks/tracing.py
@@ -60,6 +60,8 @@ def monte_carlo_cap_volume(n: int, r: float, samples: int, seed: int) -> float:
     n-sphere, via uniform Gaussians on the embedding space, drawn in the
     blocks of the chunk schedule at 8 (2 n + 5) bytes per sample: n + 1
     normals, their squares, the norm and two blocks' cosines."""
+    if samples < 1:
+        raise BadParameter(f"need samples >= 1, got {samples}")
     full = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
     rng = np.random.default_rng(seed)
     hits = 0

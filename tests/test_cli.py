@@ -551,6 +551,44 @@ class TestVerify:
         assert "special_functions: PASS" in out
 
 
+QUBIT_DIAGONAL = {"energies": [0.0, 1.0], "state": {"diagonal": [0.5, 0.5]}}
+
+
+@pytest.mark.parametrize(
+    "flag, spec, error, field",
+    [
+        ("--input", {**QUBIT_DIAGONAL, "hbar": None}, "BadParameter", "hbar"),
+        ("--input", {**QUBIT_DIAGONAL, "hbar": [1]}, "BadParameter", "hbar"),
+        ("--input", {**QUBIT_DIAGONAL, "state": 5}, "BadParameter", "state"),
+        ("--input", {**QUBIT_DIAGONAL, "state": {"gibbs": 3}}, "BadParameter", "state"),
+        (
+            "--metric-space",
+            {"points": 5, "dist": [[0.0]], "measure": [1.0], "permutation": [0]},
+            "BadDomain",
+            "points",
+        ),
+        (
+            "--metric-space",
+            {"points": [0], "dist": [[0.0]], "measure": [1.0], "permutation": 0},
+            "BadDomain",
+            "permutation",
+        ),
+    ],
+    ids=["hbar-null", "hbar-list", "state-number", "gibbs-number", "points-number", "perm-number"],
+)
+def test_malformed_input_file_gives_an_error_json(flag, spec, error, field, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(spec))
+    if flag == "--input":
+        argv = ["search", "--input", str(path), "--threshold", "0.9", "--horizon", "1.0"]
+    else:
+        argv = ["geometry", "--metric-space", str(path)]
+    code, out = run_json(argv, capsys)
+    assert code == 1
+    assert out["error"] == error
+    assert out["message"].startswith(field)
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -24,6 +24,7 @@ from qrecur import (
     validate_density,
     verify,
 )
+from qrecur.errors import BadParameter
 from qrecur.evolution import CHUNK_BYTES
 from qrecur.search import (
     CHUNK_START,
@@ -214,6 +215,11 @@ class TestChunkSchedule:
         finally:
             tracemalloc.stop()
         assert peak <= CHUNK_BYTES + 64 * 1024
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_geometry_suite_refuses_no_monte_carlo_samples(self, samples):
+        with pytest.raises(BadParameter):
+            verify.geometry_suite(mc_samples=samples)
 
     def test_monte_carlo_cap_volume_does_not_depend_on_the_blocks(self, monkeypatch):
         whole = verify.monte_carlo_cap_volume(3, 1.0, 100_000, 7)

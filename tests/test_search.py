@@ -15,8 +15,10 @@ from qrecur import (
     evolve,
     fidelity_series,
     find_recurrence,
+    gibbs_state,
     make_kernel,
     pure_state,
+    search,
     stroboscopic_recurrence,
     torus_surrogate_scan,
     validate_density,
@@ -106,6 +108,26 @@ class TestFindRecurrence:
         assert res.t_departure is None and res.t_rec is None
         assert res.to_dict()["no_departure_within_horizon"] is True
 
+    @pytest.mark.parametrize("kind", ["gibbs", "diagonal"])
+    def test_stationary_state_is_not_scanned(self, kind, monkeypatch):
+        # F(t) > 1 - n^(5/2) eps max|rho0| at all t for a state that does
+        # not move: no threshold below that can be crossed
+        H = Hamiltonian(np.array([0.0, 1.0, 2.5, 4.0]))
+        diagonal = np.diag([0.4, 0.3, 0.2, 0.1])
+        rho0 = gibbs_state(H, 1.0) if kind == "gibbs" else validate_density(diagonal)
+        calls = []
+        series = search.fidelity_series
+        monkeypatch.setattr(search, "fidelity_series", lambda *a: calls.append(1) or series(*a))
+        res = find_recurrence(H, rho0, 0.9, Grid(0.0, default_dt(H), 100_000))
+        assert calls == []
+        assert res.stationary and res.no_departure_within_horizon
+        assert res.diagnostics["samples_evaluated"] == res.diagnostics["chunks"] == 0
+        floor = 1.0 - 4**2.5 * np.finfo(float).eps * np.abs(rho0.matrix).max()
+        find_recurrence(H, rho0, np.nextafter(floor, 0.0), Grid(0.0, default_dt(H), 1000))
+        assert calls == []
+        find_recurrence(H, rho0, floor, Grid(0.0, default_dt(H), 1000))  # not below: walked
+        assert calls
+
     def test_horizon_without_departure_is_not_stationary(self):
         H, rho0 = qubit()
         res = find_recurrence(H, rho0, 0.999, Grid(0.0, default_dt(H), 1))
@@ -134,10 +156,12 @@ class TestFindRecurrence:
         dt = default_dt(H)
         grid = Grid(0.0, dt, math.ceil(7.0 / dt))
         res = find_recurrence(H, rho0, 0.999, grid, refine=True)
-        # F = |cos(t/2)| crosses 0.999 just before 2 pi; bisection should
-        # land within dt/2^10 of the true crossing
+        # F = |cos(t/2)| leaves 0.999 at 2 arccos(0.999) and is back just
+        # before 2 pi; the dt/1024 grid lands within dt/2^10 after each
+        true_dep = 2.0 * math.acos(0.999)
         true_cross = 2.0 * math.pi - 2.0 * math.acos(0.999)
         assert res.refined
+        assert 0.0 <= res.t_departure - true_dep <= dt / 2.0**10
         assert abs(res.t_rec - true_cross) <= dt / 2.0**9
 
     def test_bad_threshold(self):
@@ -151,6 +175,58 @@ class TestFindRecurrence:
         d = res.to_dict()
         assert "departure" in d["definition"]
         assert d["grid"]["steps"] == 10
+        refined = find_recurrence(H, rho0, 0.999, Grid(0.0, default_dt(H), 10), refine=True)
+        assert refined.to_dict()["definition"].startswith("first time on the dt/1024 grid")
+
+
+def _first_fine(kernel, t, dt, threshold, inside):
+    """The first of the 1024 times of Grid(t - dt, dt/1024, 1024) with F on
+    the given side of the threshold, every one evaluated; t if none is."""
+    times = Grid(t - dt, dt / 1024, 1024).times()
+    hits = np.flatnonzero((fidelity_series(kernel, times) >= threshold) == inside)
+    return float(times[hits[0]]) if hits.size else t
+
+
+class TestRefinedCrossing:
+    """A refined time is the first sample on its side of the threshold on
+    the dt/1024 grid of the step up to the grid crossing."""
+
+    @staticmethod
+    def check(H, rho0, threshold, grid):
+        coarse = find_recurrence(H, rho0, threshold, grid, allow_coarse=True)
+        res = find_recurrence(H, rho0, threshold, grid, allow_coarse=True, refine=True)
+        kernel = make_kernel(H, rho0)
+        dep = coarse.t_departure
+        if dep is not None and dep > grid.t0:
+            dep = _first_fine(kernel, dep, grid.dt, threshold, inside=False)
+        rec = coarse.t_rec
+        if rec is not None:
+            rec = _first_fine(kernel, rec, grid.dt, threshold, inside=True)
+        assert (res.t_departure, res.t_rec) == (dep, rec)
+        assert res.diagnostics == coarse.diagnostics
+        return res
+
+    def test_qubit_on_a_step_of_two_return_windows(self):
+        # at dt = 7 the step (238, 245] holds two return windows, around
+        # 2 pi 38 = 238.76 and 2 pi 39 = 245.04; the first opens at 238.672
+        H, rho0 = qubit()
+        res = self.check(H, rho0, 0.999, Grid(0.0, 7.0, 400))
+        first = 76.0 * math.pi - 2.0 * math.acos(0.999)
+        assert first <= res.t_rec <= first + 7.0 / 1024
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        seed=st.integers(0, 10_000),
+        pure=st.booleans(),
+        coarse=st.floats(1.0, 8.0),
+        threshold=st.floats(0.3, 0.97),
+    )
+    def test_random_systems_on_coarse_grids(self, n, seed, pure, coarse, threshold):
+        H, rho0 = random_system(n, seed)
+        if pure:
+            rho0 = pure_state(np.linalg.eigh(rho0.matrix)[1][:, -1])
+        self.check(H, rho0, threshold, Grid(0.0, coarse * default_dt(H), 2000))
 
 
 class TestStroboscopic:
