@@ -66,6 +66,13 @@ class BoundReport:
     distance_ceiling: float | None = None
     ceiling_norm: str | None = None
 
+    def bracket_check(self, t_rec: float, dt: float) -> dict:
+        """Whether a measured recurrence time t_rec respects the bracket
+        lower_mt <= t_rec <= upper_product to within dt."""
+        lo, hi = self.lower_mt, self.upper_product
+        ok = {"lower_ok": lo - dt <= t_rec, "upper_ok": t_rec <= hi + dt}
+        return {"lower_mt": lo, "upper_product": hi, **ok}
+
     def to_dict(self) -> dict:
         d = asdict(self)
         if self.distance_ceiling is None:

@@ -20,10 +20,8 @@ from contextlib import nullcontext
 from dataclasses import asdict
 from itertools import repeat
 
-import numpy as np
-
 from . import bounds, search, verify
-from .errors import BadParameter, QrecurError
+from .errors import BadDomain, BadParameter, QrecurError
 from .search import (
     MAX_AUTO_SAMPLES,
     Grid,
@@ -242,9 +240,9 @@ def _cmd_geometry(args) -> int:
         with open(args.metric_space) as fh:
             spec = json.load(fh)
         space = FiniteMetricSpace.from_dict(spec)
-        res = metric_recurrence_oracle(
-            space, np.asarray(spec["permutation"], dtype=int), args.point, args.r
-        )
+        if "permutation" not in spec:
+            raise BadDomain("permutation is missing from the metric space")
+        res = metric_recurrence_oracle(space, spec["permutation"], args.point, args.r)
         out["metric_recurrence"] = {
             "n_rec": res.n_rec,
             "bound": res.bound,

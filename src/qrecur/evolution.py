@@ -14,6 +14,7 @@ validate_density or pure_state is factored once, when it is built.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,28 @@ import numpy as np
 from .errors import BadParameter, DimensionMismatch
 from .states import DensityMatrix, Hamiltonian
 
-# Memory budget, in bytes, for the temporaries of one vectorized block:
-# a chunk of fidelity-scan samples, or a slab of the triangle check.
+# Memory budget, in bytes, for the temporaries of one vectorized block: a
+# chunk of fidelity-scan samples, a block of sieve windows, CSV columns or
+# Monte Carlo draws, or a slab of the triangle check. Every block loop
+# reads it through chunk_cap when it runs.
 CHUNK_BYTES = 16 * 2**20
+CHUNK_START = 256  # samples in a scan's first chunk; later chunks double
+
+
+def chunk_cap(per_sample: int) -> int:
+    """Most samples one chunk may hold within CHUNK_BYTES, at per_sample
+    temporary bytes each."""
+    return max(1, CHUNK_BYTES // per_sample)
+
+
+def chunk_bounds(stop: int, cap: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """(lo, hi) blocks covering start..stop-1: CHUNK_START samples first,
+    then doubling, never more than cap."""
+    size = min(CHUNK_START, cap)
+    while start < stop:
+        hi = min(start + size, stop)
+        yield start, hi
+        start, size = hi, min(2 * size, cap)
 
 
 @dataclass(frozen=True)

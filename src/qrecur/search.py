@@ -1,15 +1,15 @@
 """Empirical recurrence-time measurement on a time grid.
 
 All grid scans run through one engine, `scan`. It evaluates the fidelity
-F(rho0, rho(t)) in chunks of CHUNK_START samples that double up to a cap
-set by the byte budget CHUNK_BYTES, so a scan that ends early pays for
-few samples and no chunk outgrows the budget. Per sample the kernel
-needs n phases, one r x n by n x r product and one r x r nuclear norm,
-with r the rank of rho0 and W its Gram factor, which the state carries
-from its constructor (see `fidelity_series`). The torus surrogate walks
-the same chunks with the torus distance in place of F, and
-`collect_samples` builds the CSV distance columns from them a chunk at
-a time.
+F(rho0, rho(t)) in the chunks of `evolution.chunk_bounds`, CHUNK_START
+samples doubling up to a cap set by the byte budget CHUNK_BYTES, so a
+scan that ends early pays for few samples and no chunk outgrows the
+budget. Per sample the kernel needs n phases, one r x n by n x r product
+and one r x r nuclear norm, with r the rank of rho0 and W its Gram
+factor, which the state carries from its constructor (see
+`fidelity_series`). The torus surrogate walks the same chunks with the
+torus distance in place of F, and `collect_samples` builds the CSV
+distance columns from them a chunk at a time.
 
 Given a threshold, `scan` skips the samples it can prove below
 threshold - SLACK, in three steps:
@@ -63,7 +63,8 @@ import numpy as np
 
 from .bounds import SUPPORT_TOL, BoundReport, dimension_bound
 from .errors import BadParameter, GridTooCoarse
-from .evolution import CHUNK_BYTES, EvolutionKernel, is_stationary, make_kernel
+from .evolution import CHUNK_START, EvolutionKernel, chunk_bounds, chunk_cap, is_stationary
+from .evolution import make_kernel
 from .metrics import bures_from_fidelity, bures_hp, hs_norm, trace_norm
 from .states import DensityMatrix, Hamiltonian
 from .torus import (
@@ -72,7 +73,6 @@ from .torus import (
     torus_phase_at,
 )
 
-CHUNK_START = 256  # samples in a scan's first chunk; later chunks double
 # Grid samples one search may ask for: the CLI cuts an auto horizon to it
 # and refuses longer explicit grids; stroboscopic_recurrence refuses a
 # larger jmax_cap
@@ -169,22 +169,6 @@ def sample_bytes(n: int, r: int) -> int:
     return 32 * n + (16 * r * (n + 2 * r) if r > 1 else 32)
 
 
-def chunk_cap(per_sample: int) -> int:
-    """Most samples one chunk may hold within CHUNK_BYTES, at per_sample
-    temporary bytes each."""
-    return max(1, CHUNK_BYTES // per_sample)
-
-
-def chunk_bounds(stop: int, cap: int, start: int = 0) -> Iterator[tuple[int, int]]:
-    """(lo, hi) blocks covering start..stop-1: CHUNK_START samples first,
-    then doubling, never more than cap."""
-    size = min(CHUNK_START, cap)
-    while start < stop:
-        hi = min(start + size, stop)
-        yield start, hi
-        start, size = hi, min(2 * size, cap)
-
-
 def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
     """F(rho0, rho(t)) for every t, vectorized over samples.
 
@@ -193,7 +177,8 @@ def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
     the singular values of the r x r matrix M(t) = W^dag U(t) W. For a
     pure state M is the number sum_k |w_k|^2 exp(-i E_k t/hbar). Each
     sample is a matrix product of its own, so values do not depend on
-    how the times are split.
+    how the times are split. They go in strides of one cap: each caller
+    passes at most one chunk, which chunk_bounds would split in two.
     """
     w, r = kernel.factor, kernel.rank
     out = np.empty(times.size, dtype=float)
@@ -335,7 +320,7 @@ def _torus_windows(
     sieve.
     """
     two_pi = 2.0 * math.pi
-    budget = CHUNK_BYTES // SIEVE_BYTES
+    budget = chunk_cap(SIEVE_BYTES)
     run_lo, run_hi, end = np.array([float(lo)]), np.array([float(stop - 1)]), stop
     for p, (delta, phi, alpha) in enumerate(pairs):
         count = (run_hi - run_lo + 1.0).astype(np.int64)
@@ -561,14 +546,7 @@ def find_recurrence(
             t = t if k is None else fine.t0 + fine.dt * k
         times.append(t)
     t_dep, t_rec = times
-    bracket = {}
-    if report is not None and t_rec is not None:
-        bracket = {
-            "lower_mt": report.lower_mt,
-            "upper_product": report.upper_product,
-            "lower_ok": report.lower_mt - grid.dt <= t_rec,
-            "upper_ok": t_rec <= report.upper_product + grid.dt,
-        }
+    bracket = {} if report is None or t_rec is None else report.bracket_check(t_rec, grid.dt)
     return RecurrenceResult(
         threshold=threshold,
         t_departure=t_dep,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import SUPPORT_TOL, _safe_exp, sin_power_integral
-from .evolution import CHUNK_BYTES
+from .evolution import chunk_bounds, chunk_cap
 from .errors import (
     BadDomain,
     BallEmpty,
@@ -159,11 +159,9 @@ class FiniteMetricSpace:
         if np.any(d < -METRIC_TOL):
             raise BadDomain("negative distances")
         # triangle inequality: d[i, j] <= d[i, k] + d[k, j] for all k, in
-        # slabs of middle indices k whose m x slab x m sums fit CHUNK_BYTES
-        slab = max(1, CHUNK_BYTES // (8 * m * m))
-        for lo in range(0, m, slab):
-            ks = slice(lo, lo + slab)
-            via = (d[:, ks, None] + d[None, ks, :]).min(axis=1)
+        # slabs of middle indices k whose m x slab x m sums fit the budget
+        for lo, hi in chunk_bounds(m, chunk_cap(8 * m * m)):
+            via = (d[:, lo:hi, None] + d[None, lo:hi, :]).min(axis=1)
             if np.any(d > via + METRIC_TOL):
                 raise BadDomain("triangle inequality violated")
         object.__setattr__(self, "dist", d)
@@ -181,6 +179,9 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "FiniteMetricSpace":
+        for key in ("points", "dist", "measure"):  # spec may be any JSON value
+            if not isinstance(spec, dict) or key not in spec:
+                raise BadDomain(f"{key} is missing from the metric space")
         if not isinstance(spec["points"], list):
             raise BadDomain(f"points must be a list, got {spec['points']!r}")
         return cls(

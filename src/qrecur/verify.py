@@ -14,8 +14,8 @@ import numpy as np
 
 from . import bounds, metrics, search, states, torus
 from .errors import BadParameter, PreconditionViolated, StationaryState
-from .evolution import evolve, make_kernel
-from .search import Grid, chunk_bounds, chunk_cap, default_dt
+from .evolution import chunk_bounds, chunk_cap, evolve, make_kernel
+from .search import Grid, default_dt
 # fidelity_series stays importable from this module: benchmarks/tracing.py
 # wraps the name here as well as in search
 from .search import fidelity_series  # noqa: F401
@@ -119,11 +119,10 @@ def qubit_example_suite() -> dict:
     grid = Grid(0.0, dt, 64)
     result = search.find_recurrence(H, rho0, threshold, grid, report=report)
     t_rec = result.t_rec
-    ok = (
-        t_rec is not None
-        and abs(t_rec - 2.0 * math.pi) <= dt + 1e-12
-        and report.lower_mt <= t_rec <= report.upper_product
-    )
+    ok = t_rec is not None and abs(t_rec - 2.0 * math.pi) <= dt + 1e-12
+    if ok:  # inside the bracket, with no slack
+        check = report.bracket_check(t_rec, 0.0)
+        ok = check["lower_ok"] and check["upper_ok"]
     return {
         "ok": bool(ok),
         "t_rec": t_rec,
@@ -186,7 +185,8 @@ def bracket_ensemble_suite(
             continue
         t_rec = dt * rec_idx
         recurrences.append((i, t_rec))
-        if not (report.lower_mt - dt <= t_rec <= report.upper_product + dt):
+        check = report.bracket_check(t_rec, dt)
+        if not (check["lower_ok"] and check["upper_ok"]):
             violations.append(
                 {
                     "instance": i,

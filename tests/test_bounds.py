@@ -253,6 +253,21 @@ class TestEnergyBounds:
         assert rep.lambda_shift == pytest.approx(0.5)
         assert rep.torus_radii == pytest.approx((1 / math.sqrt(2.0),) * 2)
 
+    @pytest.mark.parametrize(
+        "t_rec, dt, lower_ok, upper_ok",
+        [(1.0, 0.0, True, True), (0.15, 0.0, False, True), (0.15, 0.1, True, True),
+         (400.0, 0.0, True, False), (400.0, 6.0, True, True)],
+    )
+    def test_bracket_check(self, t_rec, dt, lower_ok, upper_ok):
+        # the qubit bracket at eps = 0.1 is [0.2, 394.78...]
+        rep = energy_bounds(*self.qubit(), 0.1)
+        assert rep.bracket_check(t_rec, dt) == {
+            "lower_mt": rep.lower_mt,
+            "upper_product": rep.upper_product,
+            "lower_ok": lower_ok,
+            "upper_ok": upper_ok,
+        }
+
     def test_hbar_scaling(self):
         H, rho0 = self.qubit()
         rep1 = energy_bounds(H, rho0, 0.1)

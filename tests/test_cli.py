@@ -552,6 +552,7 @@ class TestVerify:
 
 
 QUBIT_DIAGONAL = {"energies": [0.0, 1.0], "state": {"diagonal": [0.5, 0.5]}}
+CYCLE1 = {"points": [0], "dist": [[0.0]], "measure": [1.0], "permutation": [0]}
 
 
 @pytest.mark.parametrize(
@@ -573,8 +574,16 @@ QUBIT_DIAGONAL = {"energies": [0.0, 1.0], "state": {"diagonal": [0.5, 0.5]}}
             "BadDomain",
             "permutation",
         ),
+        ("--metric-space", [1, 2], "BadDomain", "points"),
+        *(
+            ("--metric-space", {k: v for k, v in CYCLE1.items() if k != field}, "BadDomain", field)
+            for field in CYCLE1
+        ),
     ],
-    ids=["hbar-null", "hbar-list", "state-number", "gibbs-number", "points-number", "perm-number"],
+    ids=[
+        "hbar-null", "hbar-list", "state-number", "gibbs-number", "points-number", "perm-number",
+        "space-list", "no-points", "no-dist", "no-measure", "no-permutation",
+    ],
 )
 def test_malformed_input_file_gives_an_error_json(flag, spec, error, field, tmp_path, capsys):
     path = tmp_path / "input.json"

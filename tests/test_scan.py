@@ -160,7 +160,7 @@ class TestChunkSchedule:
 
     def test_measured_peak_within_budget(self, monkeypatch):
         budget = 2**20
-        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", budget)
         H, m = _mixed_rank(12, 12, 5)
         kernel = make_kernel(H, validate_density(m))
         times = np.linspace(0.0, 100.0, 20_000)
@@ -175,7 +175,7 @@ class TestChunkSchedule:
 
     def test_torus_surrogate_peak_within_budget(self, monkeypatch):
         budget = 2**20
-        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", budget)
         H = Hamiltonian(np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 8)))
         rho0 = random_density(8, 3)
         grid = Grid(0.0, default_dt(H), 200_000)
@@ -191,7 +191,7 @@ class TestChunkSchedule:
     def test_collect_samples_peak_within_budget(self, monkeypatch):
         # the rows of qrecur search --csv; 5.95 MB when they came as one list
         budget = 2**20
-        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", budget)
         H = Hamiltonian(np.sort(np.random.default_rng(8).uniform(0.0, 1.0, 8)))
         rho0 = random_density(8, 4)
         times = Grid(0.0, default_dt(H), 20_000).times()
@@ -223,8 +223,60 @@ class TestChunkSchedule:
 
     def test_monte_carlo_cap_volume_does_not_depend_on_the_blocks(self, monkeypatch):
         whole = verify.monte_carlo_cap_volume(3, 1.0, 100_000, 7)
-        monkeypatch.setattr(search, "CHUNK_BYTES", 2**12)  # 46 samples a block
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", 2**12)  # 46 samples a block
         assert verify.monte_carlo_cap_volume(3, 1.0, 100_000, 7) == whole
+
+    def test_one_patch_bounds_every_block_loop(self, monkeypatch):
+        # the budget is read when each loop runs, from qrecur.evolution alone
+        budget, n = 2**14, 8
+        H, m = _mixed_rank(n, n, 9)
+        rho0 = validate_density(m)
+        grid = Grid(0.0, default_dt(H), 2000)
+        cap_mc = verify.monte_carlo_cap_volume(3, 1.0, 20_000, 7)
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", budget)
+
+        def within_cap(sizes, per_sample):
+            assert 0 < max(sizes) <= max(1, budget // per_sample)
+
+        # an exhaustive scan at n = r = 8: 4 samples a block
+        blocks = [hi - lo for lo, hi, _ in scan(make_kernel(H, rho0), grid)]
+        within_cap(blocks, sample_bytes(n, n))
+        # the CSV columns
+        blocks = [b["t"].size for b in search.collect_samples(H, rho0, grid.times(0, 500))]
+        within_cap(blocks, 40 * n * (2 * n + 1))
+        # the torus surrogate's walk, one distance row per sample
+        rows = []
+        distances = search.torus_distance_series
+        monkeypatch.setattr(
+            search, "torus_distance_series", lambda t, a: rows.append(len(a)) or distances(t, a)
+        )
+        torus_surrogate_scan(H, rho0, 0.05, grid)
+        within_cap(rows, 40 * n)
+        # the Monte Carlo draws, whose volume does not depend on the blocks
+        draws, make_rng = [], np.random.default_rng
+
+        class Draws:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def standard_normal(self, shape):
+                draws.append(shape[0])
+                return self.rng.standard_normal(shape)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", Draws)
+            assert verify.monte_carlo_cap_volume(3, 1.0, 20_000, 7) == cap_mc
+        within_cap(draws, 8 * (2 * 3 + 5))
+        # the triangle check: slabs of one middle index, 40 x 1 x 40 sums,
+        # with a few 40 x 40 temporaries on top; all 40 at once peak at 640 kB
+        hops = np.abs(np.arange(40)[:, None] - np.arange(40)[None, :]).astype(float)
+        tracemalloc.start()
+        try:
+            qrecur.FiniteMetricSpace(points=tuple(range(40)), dist=hops, measure=np.ones(40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + 4 * 8 * 40 * 40
 
 
 class TestSplitInvariance:
@@ -581,7 +633,7 @@ class TestTorusWindowSieve:
     def test_long_pure_scan_finds_the_exhaustive_crossings(self, budget, monkeypatch):
         # under the small budget the windows of a pair outgrow it, and the
         # sieve covers the grid in many blocks
-        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", budget)
         H, psi = _pure_system(8, 21)
         rho0 = pure_state(psi)
         kernel = make_kernel(H, rho0)
@@ -619,7 +671,7 @@ class TestTorusWindowSieve:
         # 0..9999: the block is cut after its 100th, then after the second
         # pair's 100th unless that would end it before need; the windows
         # are intersected as runs only, with no pointwise finish
-        monkeypatch.setattr(search, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
         monkeypatch.setattr(search, "SIEVE_POINTWISE", 0)
         self._check_cut_block([(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)], need, applied)
 
@@ -630,7 +682,7 @@ class TestTorusWindowSieve:
         # as above, but about 160 samples survive the first pair's 100
         # windows, so the second pair is tested on them sample by sample
         # and cuts nothing, whatever need is
-        monkeypatch.setattr(search, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
         end = self._check_cut_block([(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)], need, applied)
         assert end == (10_000 if applied == 0 else 1232)
 
@@ -653,7 +705,7 @@ class TestTorusWindowSieve:
 
     def test_ten_million_step_scan_within_budget(self, monkeypatch):
         budget = 2**20
-        monkeypatch.setattr(search, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", budget)
         rng = np.random.default_rng(0)
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         rho0 = pure_state(psi / np.linalg.norm(psi))

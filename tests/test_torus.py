@@ -32,7 +32,6 @@ from qrecur.errors import (
     ZeroPopulation,
 )
 from qrecur import metrics as metrics_module
-from qrecur import torus as torus_module
 from qrecur import verify
 from qrecur.metrics import bures_from_fidelity, bures_hp, gram_factor
 from qrecur.search import Grid, default_dt, fidelity_series, scan
@@ -265,7 +264,7 @@ class TestFiniteMetricSpace:
     @pytest.mark.parametrize("budget", [8 * 40 * 40, 8 * 40 * 40 * 7, 2**30])
     def test_triangle_check_in_slabs(self, monkeypatch, budget):
         # slabs of 1 and 7 middle points, and all 40 at once, agree
-        monkeypatch.setattr(torus_module, "CHUNK_BYTES", budget)
+        monkeypatch.setattr("qrecur.evolution.CHUNK_BYTES", budget)
         idx = np.arange(40)
         hops = np.abs(idx[:, None] - idx[None, :]).astype(float)
         FiniteMetricSpace(points=tuple(range(40)), dist=hops, measure=np.ones(40))
