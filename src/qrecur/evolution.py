@@ -36,10 +36,10 @@ def chunk_cap(per_sample: int) -> int:
     return max(1, CHUNK_BYTES // per_sample)
 
 
-def chunk_bounds(stop: int, cap: int, start: int = 0) -> Iterator[tuple[int, int]]:
-    """(lo, hi) blocks covering start..stop-1: CHUNK_START samples first,
+def chunk_bounds(stop: int, cap: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) blocks covering 0..stop-1: CHUNK_START samples first,
     then doubling, never more than cap."""
-    size = min(CHUNK_START, cap)
+    start, size = 0, min(CHUNK_START, cap)
     while start < stop:
         hi = min(start + size, stop)
         yield start, hi

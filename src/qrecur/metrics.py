@@ -8,29 +8,10 @@ elsewhere label which norm was used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, EigenFailure
-# gram_factor lives with the states that carry it; it stays importable here
-from .states import DensityMatrix, Hamiltonian, gram_factor  # noqa: F401
-
-
-@dataclass(frozen=True)
-class DistanceSample:
-    """All distances between rho(t) and rho0 at one sample time."""
-
-    t: float
-    fidelity: float
-    bures: float
-    trace_dist: float
-    hs_dist: float
-    torus_dist: float | None = None
-
-    def __post_init__(self):
-        if abs(self.bures - bures_from_fidelity(self.fidelity)) > 1e-12:
-            raise ValueError("bures inconsistent with fidelity")
+from .states import DensityMatrix, Hamiltonian
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -115,20 +96,3 @@ def fvg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[bool, bool]:
     lower_ok = 1.0 - f <= half_t + slack
     upper_ok = half_t <= np.sqrt(max(0.0, 1.0 - f * f)) + slack
     return lower_ok, upper_ok
-
-
-def distance_sample(
-    t: float,
-    rho_t: DensityMatrix,
-    rho0: DensityMatrix,
-    torus_dist: float | None = None,
-) -> DistanceSample:
-    f = fidelity(rho0, rho_t)
-    return DistanceSample(
-        t=float(t),
-        fidelity=f,
-        bures=float(bures_from_fidelity(f)),
-        trace_dist=trace_distance_norm(rho_t, rho0),
-        hs_dist=hs_norm(rho_t.matrix - rho0.matrix),
-        torus_dist=torus_dist,
-    )

@@ -566,10 +566,11 @@ def collect_samples(
     H: Hamiltonian, rho0: DensityMatrix, times: np.ndarray
 ) -> Iterator[dict[str, np.ndarray | None]]:
     """Distance columns over the times, one dict per chunk of chunk_bounds,
-    in order, from each DistanceSample field name to an array over the
-    chunk; torus_dist is None when a population is <= SUPPORT_TOL. The
-    trace distances come from one stacked eigvalsh per chunk, of about
-    80 n^2 + 40 n bytes per time, so memory stays within CHUNK_BYTES."""
+    in order, from each CSV column name (t, fidelity, bures, trace_dist,
+    hs_dist, torus_dist) to an array over the chunk; torus_dist is None
+    when a population is <= SUPPORT_TOL. The trace distances come from
+    one stacked eigvalsh per chunk, of about 80 n^2 + 40 n bytes per
+    time, so memory stays within CHUNK_BYTES."""
     kernel = make_kernel(H, rho0)
     torus = torus_from_state(rho0) if np.all(rho0.populations > SUPPORT_TOL) else None
     lam = float(H.energies @ rho0.populations)

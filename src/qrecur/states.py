@@ -186,26 +186,13 @@ def box_hamiltonian(scale: float, n: int, hbar: float = 1.0) -> Hamiltonian:
     return Hamiltonian(scale * np.arange(1, n + 1, dtype=float) ** 2, hbar)
 
 
-def random_hamiltonian(n: int, seed: int, hbar: float = 1.0) -> Hamiltonian:
+def random_hamiltonian(n: int, seed, hbar: float = 1.0) -> Hamiltonian:
+    """n sorted energies uniform on [0, 1); seed is taken as in
+    random_density, so a Generator's stream continues."""
     if n < 1:
         raise BadParameter("need n >= 1")
     rng = np.random.default_rng(seed)
     return Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=n)), hbar)
-
-
-def model_hamiltonian(kind: str, hbar: float = 1.0, **params) -> Hamiltonian:
-    """Dispatcher over the builders above; kinds: qubit, oscillator, box, random."""
-    builders = {
-        "qubit": qubit_hamiltonian,
-        "oscillator": oscillator_hamiltonian,
-        "box": box_hamiltonian,
-        "random": random_hamiltonian,
-    }
-    try:
-        builder = builders[kind]
-    except KeyError:
-        raise BadParameter(f"unknown Hamiltonian kind {kind!r}") from None
-    return builder(hbar=hbar, **params)
 
 
 def random_density(n: int, seed) -> DensityMatrix:

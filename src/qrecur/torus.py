@@ -210,6 +210,10 @@ def metric_recurrence_oracle(
     """
     if not r > 0:
         raise BadDomain("need r > 0")
+    # the int cast below would truncate 1.7 to 1 and read true as 1
+    entries = np.asarray(permutation, dtype=object).ravel()
+    if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in entries):
+        raise BadDomain(f"permutation entries must be integers, got {permutation!r}")
     perm = np.asarray(permutation, dtype=int)
     m = space.size
     if not 0 <= p < m:

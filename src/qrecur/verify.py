@@ -136,7 +136,7 @@ def qubit_example_suite() -> dict:
 def _random_instance(seed_pair):
     rng = np.random.default_rng(seed_pair)
     n = int(rng.integers(2, 6))
-    H = states.Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=n)))
+    H = states.random_hamiltonian(n, rng)
     rho0 = states.random_density(n, rng)
     u = float(rng.uniform(0.45, 0.7))
     return H, rho0, u
@@ -222,7 +222,7 @@ def strobe_suite(
     found = 0
     for i in range(count):
         rng = np.random.default_rng([seed, 7000 + i])
-        H = states.Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=2)))
+        H = states.random_hamiltonian(2, rng)
         rho0 = states.random_density(2, rng)
         t = float(rng.uniform(0.1, 10.0))
         res = search.stroboscopic_recurrence(H, rho0, epsilon, t, jmax_cap=cap)
@@ -267,7 +267,7 @@ def truncation_suite(
     stationary = 0
     for i in range(systems):
         rng = np.random.default_rng([seed, 3000 + i])
-        H = states.Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=n)))
+        H = states.random_hamiltonian(n, rng)
         rho0 = states.random_density(n, rng)
         times = rng.uniform(0.0, 100.0, size=n_times)
         worst_dev = max(worst_dev, delta_time_invariance_check(H, rho0, N, times))

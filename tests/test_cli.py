@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qrecur import bounds, search
+from qrecur import bounds, evolution
 from qrecur.cli import MAX_AUTO_SAMPLES, _load_system, _resolve_grid, main
 from qrecur.evolution import evolve, make_kernel
 from qrecur.metrics import bures_from_fidelity, hs_norm, trace_distance_norm
@@ -317,7 +317,7 @@ class TestCsvColumns:
         )
         assert code == 0
         grid = Grid(**out["grid"])
-        assert grid.steps > search.CHUNK_START  # at least two chunks
+        assert grid.steps > evolution.CHUNK_START  # at least two chunks
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "fidelity", "bures", "trace_dist", "hs_dist", "torus_dist"]
@@ -538,6 +538,22 @@ class TestGeometry:
         )
         assert code == 1
         assert out["error"] == "BadDomain"
+
+    @pytest.mark.parametrize(
+        "permutation", [[1.7, 0.2], [True, False], [1.0, 0.0], ["1", "0"]],
+        ids=["fractions", "bools", "integral-floats", "strings"],
+    )
+    def test_metric_space_non_integer_permutation(self, tmp_path, capsys, permutation):
+        # an int cast would read each of these as the swap [1, 0]
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({
+            "points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]], "measure": [1.0, 1.0],
+            "permutation": permutation,
+        }))
+        code, out = run_json(["geometry", "--metric-space", str(path)], capsys)
+        assert code == 1
+        assert out["error"] == "BadDomain"
+        assert out["message"].startswith("permutation entries must be integers")
 
     def test_no_arguments(self, capsys):
         assert main(["geometry"]) == 2

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_state
 from qrecur import (
-    DistanceSample,
     Hamiltonian,
     bures_distance,
-    distance_sample,
     energy_stats,
     evolve,
     fidelity,
@@ -22,7 +20,8 @@ from qrecur import (
     validate_density,
 )
 from qrecur.errors import DimensionMismatch
-from qrecur.metrics import bures_from_fidelity, gram_factor
+from qrecur.metrics import bures_from_fidelity
+from qrecur.states import gram_factor
 
 
 def basis(i):
@@ -146,19 +145,6 @@ class TestFvg:
             True,
             True,
         )
-
-
-class TestDistanceSample:
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            DistanceSample(t=0.0, fidelity=1.0, bures=0.5, trace_dist=0.0, hs_dist=0.0)
-
-    def test_helper_builds_consistent_record(self):
-        a, b = random_state(3, 6), random_state(3, 7)
-        s = distance_sample(1.5, b, a)
-        assert s.t == 1.5
-        assert s.bures == pytest.approx(math.sqrt(2.0 - 2.0 * s.fidelity), abs=1e-12)
-        assert s.torus_dist is None
 
 
 def test_gram_factor_multiplies_back():

@@ -1,7 +1,9 @@
-"""The public export list and the import graph of the package."""
+"""The public export list, the import graph of the package and the
+README's library quick start."""
 
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -47,3 +49,14 @@ def test_every_traced_attribute_resolves(monkeypatch):
         if not hasattr(importlib.import_module(modname), attr)
     ]
     assert len(tracing.TARGETS) >= 18 and missing == []
+
+
+def test_readme_library_quick_start_finds_the_recurrence(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    result, dt = scope["result"], scope["dt"]
+    assert abs(result.t_rec - 2.0 * math.pi) <= dt
+    assert result.bracket_check["lower_ok"] and result.bracket_check["upper_ok"]
+    assert capsys.readouterr().out.splitlines()[0] == repr(result.t_rec)

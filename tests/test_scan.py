@@ -25,14 +25,11 @@ from qrecur import (
     verify,
 )
 from qrecur.errors import BadParameter
-from qrecur.evolution import CHUNK_BYTES
+from qrecur.evolution import CHUNK_BYTES, CHUNK_START, chunk_bounds, chunk_cap
 from qrecur.search import (
-    CHUNK_START,
     SLACK,
     Grid,
     _first_crossing,
-    chunk_bounds,
-    chunk_cap,
     fidelity_series,
     sample_bytes,
     scan,
@@ -143,11 +140,11 @@ class TestChunkSchedule:
         assert sum(sizes) == 10_000
 
     def test_blocks_tile_the_range_from_start(self):
-        bounds = list(chunk_bounds(1000, 300, start=1))
-        assert bounds[0] == (1, 257)
+        bounds = list(chunk_bounds(1000, 300))
+        assert bounds[0] == (0, 256)
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
         assert bounds[-1][1] == 1000
-        assert list(chunk_bounds(5, 300, start=5)) == []
+        assert list(chunk_bounds(0, 300)) == []
 
     @pytest.mark.parametrize("r", [1, 8, 64])
     def test_budget_holds_at_n64(self, r):

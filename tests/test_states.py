@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import random_state
 from qrecur import (
     gibbs_state,
-    model_hamiltonian,
     pure_state,
     random_density,
     system_from_dict,
@@ -22,11 +21,11 @@ from qrecur.errors import (
     NotNormalized,
     NotPositive,
 )
-from qrecur.metrics import gram_factor
 from qrecur.states import (
     DensityMatrix,
     Hamiltonian,
     box_hamiltonian,
+    gram_factor,
     oscillator_hamiltonian,
     qubit_hamiltonian,
     random_hamiltonian,
@@ -196,11 +195,14 @@ class TestModelHamiltonians:
         assert np.all((a.energies > 0) & (a.energies < 1))
         assert np.all(np.diff(a.energies) >= 0)
 
-    def test_dispatcher(self):
-        H = model_hamiltonian("oscillator", omega=2.0, n=2)
-        assert np.allclose(H.energies, [1.0, 3.0])
-        with pytest.raises(BadParameter):
-            model_hamiltonian("spin-chain")
+    def test_random_continues_a_generators_stream(self):
+        # as random_density does: the draw is the one written inline on a
+        # twin Generator, and both streams end at the same position
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        H = random_hamiltonian(5, rng)
+        assert np.array_equal(H.energies, np.sort(twin.uniform(0.0, 1.0, size=5)))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.uniform() == twin.uniform()
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameter):

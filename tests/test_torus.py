@@ -33,8 +33,9 @@ from qrecur.errors import (
 )
 from qrecur import metrics as metrics_module
 from qrecur import verify
-from qrecur.metrics import bures_from_fidelity, bures_hp, gram_factor
+from qrecur.metrics import bures_from_fidelity, bures_hp
 from qrecur.search import Grid, default_dt, fidelity_series, scan
+from qrecur.states import gram_factor
 from qrecur.torus import torus_distance_series
 
 
@@ -331,6 +332,13 @@ class TestMetricOracle:
         # -1 would index the last point and 5 run off the distance matrix
         with pytest.raises(BadDomain, match="0..4"):
             metric_recurrence_oracle(cycle_space(5), [1, 2, 3, 4, 0], p, 1.0)
+
+    @pytest.mark.parametrize(
+        "perm", [[1.7, 0.2], [True, False], [True, 0], np.array([1.0, 0.0]), np.array([True, False])]
+    )
+    def test_non_integer_permutation_rejected(self, perm):
+        with pytest.raises(BadDomain, match="integers"):
+            metric_recurrence_oracle(cycle_space(2), perm, 0, 1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(3, 12), shift=st.integers(1, 11), r=st.floats(0.5, 3.0))
