@@ -36,8 +36,8 @@ SUPPORT_TOL = 1e-14
 _HALF_PI = (1.5707963267948966, 6.123233995736766e-17)
 _PI = (3.141592653589793, 1.2246467991473532e-16)
 
-# Fidelity-threshold conventions used when converting a single user-facing
-# threshold into the per-bound epsilon (see threshold_to_epsilon).
+# The two epsilon conventions; every report names its own in
+# epsilon_convention.
 EPS_FIDELITY_FLOOR = "fidelity_floor"  # F >= eps
 EPS_BURES_SCALE = "bures_scale"  # F >= 1 - eps^2/4
 
@@ -78,21 +78,6 @@ class BoundReport:
         if self.distance_ceiling is None:
             del d["distance_ceiling"], d["ceiling_norm"]
         return d
-
-
-@dataclass(frozen=True)
-class EstimatorInputs:
-    """Inputs for the literature order-of-magnitude estimates."""
-
-    n: int
-    nu: tuple[float, ...]
-    epsilon: float
-
-    def __post_init__(self):
-        if self.n < 1 or len(self.nu) != self.n:
-            raise BadDomain("need n >= 1 frequencies")
-        if not all(math.isfinite(v) for v in self.nu):
-            raise BadDomain("frequencies must be finite")
 
 
 def sin_power_integral(m: int, x: float) -> float:
@@ -224,15 +209,12 @@ def log_cn(n: int) -> float:
     )
 
 
-def threshold_to_epsilon(threshold: float, convention: str) -> float:
-    """Convert a fidelity threshold into the epsilon of either convention."""
+def threshold_to_epsilon(threshold: float) -> float:
+    """The Bures-scale epsilon of a fidelity threshold: F >= threshold
+    is F >= 1 - eps^2/4."""
     if not (0.0 < threshold < 1.0):
         raise BadDomain("threshold must be in (0, 1)")
-    if convention == EPS_FIDELITY_FLOOR:
-        return threshold
-    if convention == EPS_BURES_SCALE:
-        return 2.0 * math.sqrt(1.0 - threshold)
-    raise BadDomain(f"unknown convention {convention!r}")
+    return 2.0 * math.sqrt(1.0 - threshold)
 
 
 def reduce_to_support(
@@ -370,17 +352,27 @@ def truncated_bounds(
     return replace(report, distance_ceiling=ceiling, ceiling_norm="trace")
 
 
-def peres_estimate(inp: EstimatorInputs) -> float:
-    """Order-of-magnitude recurrence estimate 1/(n^(1/2)*nu*sigma).
+def _count_frequencies(nu) -> int:
+    """len(nu), once nu is known to be non-empty and finite."""
+    if len(nu) < 1:
+        raise BadDomain("need n >= 1 frequencies")
+    if not all(math.isfinite(v) for v in nu):
+        raise BadDomain("frequencies must be finite")
+    return len(nu)
+
+
+def peres_estimate(nu, epsilon: float) -> float:
+    """Order-of-magnitude recurrence estimate 1/(n^(1/2)*nu*sigma) from
+    the n = len(nu) frequencies nu.
 
     This is an estimate, not a bound; reports must label it as such and
     never assert it against measured times.
     """
-    if not all(v > 0 for v in inp.nu) or not inp.epsilon > 0:
+    n = _count_frequencies(nu)
+    if not all(v > 0 for v in nu) or not epsilon > 0:
         raise BadDomain("need positive frequencies and epsilon")
-    n = inp.n
-    nu_mean = sum(inp.nu) / n
-    log_r = 0.5 * math.log(n * inp.epsilon) - math.log(2.0 * math.pi)
+    nu_mean = sum(nu) / n
+    log_r = 0.5 * math.log(n * epsilon) - math.log(2.0 * math.pi)
     log_sigma = (
         (n - 1) / 2.0 * math.log(math.pi)
         + (n - 1) * log_r
@@ -389,18 +381,19 @@ def peres_estimate(inp: EstimatorInputs) -> float:
     return _safe_exp(-(0.5 * math.log(n) + math.log(nu_mean) + log_sigma))
 
 
-def bhattacharyya_estimate(inp: EstimatorInputs) -> float:
-    """Order-of-magnitude recurrence estimate from the frequency spread.
+def bhattacharyya_estimate(nu, epsilon: float) -> float:
+    """Order-of-magnitude recurrence estimate from the spread of the
+    n = len(nu) frequencies nu.
 
     Uses the root-mean-square gap to the lowest frequency; degenerate
     spectra (all frequencies equal) are rejected.
     """
-    n = inp.n
+    n = _count_frequencies(nu)
     if n < 2:
         raise BadDomain("need n >= 2")
-    if not inp.epsilon > 0:
+    if not epsilon > 0:
         raise BadDomain("need positive epsilon")
-    nu = np.asarray(inp.nu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
     nu_m1 = float(np.sqrt(((nu[1:] - nu[0]) ** 2).sum() / (n - 1)))
     if nu_m1 == 0.0:
         raise DegenerateSpectrum("all frequencies equal")
@@ -408,7 +401,7 @@ def bhattacharyya_estimate(inp: EstimatorInputs) -> float:
         -0.5 * math.log(n - 1)
         - math.log(nu_m1)
         + math.lgamma(n / 2.0)
-        + (n - 2) / 2.0 * math.log(8.0 * math.pi / (inp.epsilon * (n - 1)))
+        + (n - 2) / 2.0 * math.log(8.0 * math.pi / (epsilon * (n - 1)))
     )
     return _safe_exp(log_val)
 

@@ -73,24 +73,23 @@ def _load_system(path: str):
 
 def _cmd_bounds(args) -> int:
     H, rho0 = _load_system(args.input)
-    eps = bounds.threshold_to_epsilon(args.threshold, bounds.EPS_BURES_SCALE)
+    eps = bounds.threshold_to_epsilon(args.threshold)
     report = bounds.energy_bounds(H, rho0, eps)
     out = report.to_dict()
     out["threshold"] = args.threshold
     nu = [float(e) / (2.0 * math.pi * H.hbar) for e in H.energies]
-    est_in = bounds.EstimatorInputs(n=H.dim, nu=tuple(nu), epsilon=eps)
     out["estimates"] = {
         "note": "order-of-magnitude estimates, not bounds",
-        "peres": _try_estimate(bounds.peres_estimate, est_in),
-        "bhattacharyya": _try_estimate(bounds.bhattacharyya_estimate, est_in),
+        "peres": _try_estimate(bounds.peres_estimate, nu, eps),
+        "bhattacharyya": _try_estimate(bounds.bhattacharyya_estimate, nu, eps),
     }
     _dump_json(out, args.output)
     return 0
 
 
-def _try_estimate(fn, inp):
+def _try_estimate(fn, nu, eps):
     try:
-        return fn(inp)
+        return fn(nu, eps)
     except QrecurError as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
 
@@ -98,7 +97,11 @@ def _try_estimate(fn, inp):
 def _resolve_grid(args, H, report) -> Grid:
     dt = default_dt(H) if args.dt == "auto" else float(args.dt)
     if args.horizon == "auto":
-        horizon = report.upper_product + 2.0 * dt if report else MAX_AUTO_SAMPLES * dt
+        # capped before the finiteness check: the bracket's upper edge
+        # overflows to inf for large n
+        horizon = MAX_AUTO_SAMPLES * dt
+        if report:
+            horizon = min(horizon, report.upper_product + 2.0 * dt)
     else:
         horizon = float(args.horizon)
     if not (0.0 < dt < math.inf and 0.0 < horizon / dt < math.inf):
@@ -109,21 +112,17 @@ def _resolve_grid(args, H, report) -> Grid:
     steps = math.ceil(horizon / dt)
     if args.horizon == "auto":
         steps = min(MAX_AUTO_SAMPLES, steps)
-    _refuse_over_limit(f"--horizon {args.horizon} at --dt {args.dt}", steps)
-    return Grid(args.t0, dt, steps)
-
-
-def _refuse_over_limit(what: str, samples: int):
-    if samples > MAX_AUTO_SAMPLES:
+    elif steps > MAX_AUTO_SAMPLES:
         raise BadParameter(
-            f"{what} is {samples:.15g} grid samples, over the limit of "
-            f"MAX_AUTO_SAMPLES = {MAX_AUTO_SAMPLES}"
+            f"--horizon {args.horizon} at --dt {args.dt} is {steps:.15g} grid samples, "
+            f"over the limit of MAX_AUTO_SAMPLES = {MAX_AUTO_SAMPLES}"
         )
+    return Grid(args.t0, dt, steps)
 
 
 def _cmd_search(args) -> int:
     H, rho0 = _load_system(args.input)
-    eps = bounds.threshold_to_epsilon(args.threshold, bounds.EPS_BURES_SCALE)
+    eps = bounds.threshold_to_epsilon(args.threshold)
     report = None
     try:
         report = bounds.energy_bounds(H, rho0, eps)
@@ -179,7 +178,6 @@ def _write_csv(fh, blocks):
 
 def _cmd_strobe(args) -> int:
     H, rho0 = _load_system(args.input)
-    _refuse_over_limit(f"--jmax-cap {args.jmax_cap}", args.jmax_cap)
     res = stroboscopic_recurrence(
         H, rho0, args.epsilon, args.t, jmax_cap=args.jmax_cap
     )

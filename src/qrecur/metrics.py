@@ -51,10 +51,6 @@ def bures_hp(w: np.ndarray, energies: np.ndarray, hbar: float, t: float) -> floa
         return float(mp.sqrt(max(2 - 2 * mp.fsum(sv) / trace, 0)))
 
 
-def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    return float(bures_from_fidelity(fidelity(rho, sigma)))
-
-
 def trace_norm(a: np.ndarray) -> np.ndarray:
     """Trace norm, sum |eigenvalues|, of each Hermitian matrix a[..., :, :]."""
     try:

@@ -10,7 +10,7 @@ separately so the two conventions can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .states import DensityMatrix, Hamiltonian, validate_density
 @dataclass(frozen=True)
 class TruncationResult:
     N: int
-    sigma_N: np.ndarray = field(repr=False)  # full-size, zero outside the block
     sigma_tilde: DensityMatrix
     delta_N: float
     P_N: float
@@ -65,15 +64,14 @@ def truncate(rho0: DensityMatrix, N: int, order: str = "energy") -> TruncationRe
     if P <= 1e-14:
         raise ZeroProbability(f"P_N = {P:.3e}")
     block = m[:N, :N]
-    sigma_N = np.zeros_like(m)
-    sigma_N[:N, :N] = block
     tail = m[N:, N:]
     delta = float((np.abs(tail) ** 2).sum())
-    complement = float((np.abs(m - sigma_N) ** 2).sum())
+    rest = m.copy()  # rho0 - sigma_N: rho0 with the kept block zeroed
+    rest[:N, :N] = 0.0
+    complement = float((np.abs(rest) ** 2).sum())
     kept = permutation[:N] if permutation else tuple(range(N))
     return TruncationResult(
         N=N,
-        sigma_N=sigma_N,
         sigma_tilde=validate_density(block / P),
         delta_N=delta,
         P_N=P,

@@ -113,7 +113,7 @@ def qubit_example_suite() -> dict:
     H = states.qubit_hamiltonian(1.0)
     rho0 = states.pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
     threshold = 0.999
-    eps = bounds.threshold_to_epsilon(threshold, bounds.EPS_BURES_SCALE)
+    eps = bounds.threshold_to_epsilon(threshold)
     report = bounds.energy_bounds(H, rho0, eps)
     dt = default_dt(H)
     grid = Grid(0.0, dt, 64)

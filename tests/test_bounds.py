@@ -11,7 +11,6 @@ from scipy.special import gamma
 
 from conftest import random_state, random_system
 from qrecur import (
-    EstimatorInputs,
     Hamiltonian,
     bhattacharyya_estimate,
     dimension_bound,
@@ -201,20 +200,16 @@ class TestDimensionBound:
 
 
 class TestThresholdConversion:
-    def test_floor_is_identity(self):
-        assert threshold_to_epsilon(0.7, EPS_FIDELITY_FLOOR) == 0.7
-
     def test_bures_scale(self):
-        eps = threshold_to_epsilon(0.999, EPS_BURES_SCALE)
+        eps = threshold_to_epsilon(0.999)
         assert eps == pytest.approx(2.0 * math.sqrt(1e-3), rel=1e-12)
         # round trip: F >= 1 - eps^2/4 recovers the threshold
         assert 1.0 - eps**2 / 4.0 == pytest.approx(0.999, abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(BadDomain):
-            threshold_to_epsilon(1.0, EPS_FIDELITY_FLOOR)
-        with pytest.raises(BadDomain):
-            threshold_to_epsilon(0.5, "other")
+        for threshold in (0.0, 1.0, math.nan):
+            with pytest.raises(BadDomain):
+                threshold_to_epsilon(threshold)
 
 
 class TestReduceToSupport:
@@ -361,39 +356,46 @@ class TestTruncatedBounds:
 
 class TestEstimates:
     def test_peres_n1(self):
-        assert peres_estimate(EstimatorInputs(1, (2.5,), 0.3)) == pytest.approx(
+        assert peres_estimate((2.5,), 0.3) == pytest.approx(
             1.0 / 2.5, rel=1e-12
         )
 
     def test_peres_n2_closed_form(self):
         # nu = (1, 3), eps = 1: R = sqrt(2)/(2 pi), sigma = 2R, value = pi/4
-        assert peres_estimate(EstimatorInputs(2, (1.0, 3.0), 1.0)) == pytest.approx(
+        assert peres_estimate((1.0, 3.0), 1.0) == pytest.approx(
             math.pi / 4.0, rel=1e-12
         )
 
     def test_bhattacharyya_n2(self):
-        assert bhattacharyya_estimate(
-            EstimatorInputs(2, (1.0, 3.5), 0.7)
-        ) == pytest.approx(1.0 / 2.5, rel=1e-12)
+        assert bhattacharyya_estimate((1.0, 3.5), 0.7) == pytest.approx(1.0 / 2.5, rel=1e-12)
 
     def test_bhattacharyya_n3_unit_power(self):
         # eps = 4*pi makes the power term 1: value Gamma(3/2)/(sqrt(2)*nu_rms)
         nu = (0.0, 1.0, 1.0)
         nu_rms = 1.0
         expected = gamma(1.5) / (math.sqrt(2.0) * nu_rms)
-        assert bhattacharyya_estimate(
-            EstimatorInputs(3, nu, 4.0 * math.pi)
-        ) == pytest.approx(expected, rel=1e-12)
+        assert bhattacharyya_estimate(nu, 4.0 * math.pi) == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrum):
-            bhattacharyya_estimate(EstimatorInputs(3, (1.0, 1.0, 1.0), 0.5))
+            bhattacharyya_estimate((1.0, 1.0, 1.0), 0.5)
 
     def test_bad_inputs(self):
-        with pytest.raises(BadDomain):
-            EstimatorInputs(2, (1.0,), 0.5)
-        with pytest.raises(BadDomain):
-            peres_estimate(EstimatorInputs(2, (1.0, -1.0), 0.5))
+        with pytest.raises(BadDomain, match="need positive frequencies and epsilon"):
+            peres_estimate((1.0, -1.0), 0.5)
+
+    @pytest.mark.parametrize("estimate", [peres_estimate, bhattacharyya_estimate])
+    @pytest.mark.parametrize(
+        "nu, message",
+        [
+            ((), "need n >= 1 frequencies"),
+            ((1.0, math.inf), "frequencies must be finite"),
+            ((math.nan, 2.0), "frequencies must be finite"),
+        ],
+    )
+    def test_empty_or_nonfinite_frequencies(self, estimate, nu, message):
+        with pytest.raises(BadDomain, match=message):
+            estimate(nu, 0.5)
 
 
 def test_report_to_dict_round_trips():

@@ -59,6 +59,19 @@ class TestBounds:
         assert out["upper_product"] == pytest.approx(4.0 * math.pi**2 / eps, rel=1e-12)
         assert out["estimates"]["note"] == "order-of-magnitude estimates, not bounds"
 
+    def test_estimate_errors_leave_the_bracket(self, tmp_path, capsys):
+        # hbar = 1e-310 makes E/(2 pi hbar) overflow: the estimates refuse
+        # the infinite frequency, and the bracket is still reported
+        path = tmp_path / "tiny_hbar.json"
+        s = 1.0 / math.sqrt(2.0)
+        path.write_text(
+            json.dumps({"energies": [0.0, 1.0], "hbar": 1e-310, "state": {"pure": [[s, 0.0], [s, 0.0]]}})
+        )
+        code, out = run_json(["bounds", "--input", str(path), "--threshold", "0.999"], capsys)
+        assert code == 0 and out["lower_mt"] > 0.0
+        for name in ("peres", "bhattacharyya"):
+            assert out["estimates"][name] == {"error": "BadDomain", "message": "frequencies must be finite"}
+
     def test_precondition_violation_exit_code(self, tmp_path, capsys):
         # tiny minimum population: the torus injectivity radius collapses
         # and a loose threshold asks for a ball the theory cannot grant
@@ -387,14 +400,28 @@ class TestSampleLimit:
         )
         assert code == 1
         assert out["error"] == "BadParameter"
-        assert "--jmax-cap 1000000000000" in out["message"]
-        assert str(MAX_AUTO_SAMPLES) in out["message"]
+        assert out["message"] == (
+            f"jmax_cap must be <= MAX_AUTO_SAMPLES = {MAX_AUTO_SAMPLES}, got 1000000000000"
+        )
 
     def test_auto_horizon_is_capped_silently(self, qubit_json):
         H, rho0 = _load_system(qubit_json)
         args = argparse.Namespace(dt="1e-300", horizon="auto", t0=0.0)
         report = bounds.energy_bounds(H, rho0, 0.5)
         assert _resolve_grid(args, H, report).steps == MAX_AUTO_SAMPLES
+
+    def test_auto_horizon_is_capped_when_the_bracket_overflows(self, tmp_path):
+        # 80 equally populated levels: ln upper_product is about 760, so the
+        # bracket's upper edge is inf and only the cap bounds the horizon
+        n = 80
+        path = tmp_path / "n80.json"
+        amp = [1.0 / math.sqrt(n), 0.0]
+        path.write_text(json.dumps({"energies": list(range(n)), "state": {"pure": [amp] * n}}))
+        code, out = run_cli_bounded(["search", "--input", str(path), "--threshold", "0.99999999"])
+        assert code == 0
+        assert out["bounds"]["upper_product"] == "inf"
+        assert out["grid"]["steps"] == MAX_AUTO_SAMPLES
+        assert out["t_rec"] == pytest.approx(2.0 * math.pi, abs=out["grid"]["dt"])
 
 
 class TestStrobe:

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_state
 from qrecur import (
     Hamiltonian,
-    bures_distance,
     energy_stats,
     evolve,
     fidelity,
@@ -60,7 +60,7 @@ class TestFidelity:
 class TestBures:
     def test_identical(self):
         rho = random_state(3, 3)
-        assert bures_distance(rho, rho) == pytest.approx(0.0, abs=1e-6)
+        assert bures_from_fidelity(fidelity(rho, rho)) == pytest.approx(0.0, abs=1e-6)
 
     def test_half_fidelity_pair(self):
         # pure states with overlap 1/2: F = 1/sqrt(2)... use mixed construction
@@ -68,10 +68,11 @@ class TestBures:
         rho = basis(0)
         sigma = pure_state(np.array([0.5, math.sqrt(0.75)]))
         assert fidelity(rho, sigma) == pytest.approx(0.5, abs=1e-12)
-        assert bures_distance(rho, sigma) == pytest.approx(1.0, abs=1e-12)
+        assert bures_from_fidelity(fidelity(rho, sigma)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_maximum(self):
-        assert bures_distance(basis(0), basis(1)) == pytest.approx(math.sqrt(2.0))
+        d = bures_from_fidelity(fidelity(basis(0), basis(1)))
+        assert d == pytest.approx(math.sqrt(2.0))
 
     def test_from_fidelity_scalar_and_array(self):
         assert bures_from_fidelity(0.5) == 1.0
@@ -82,8 +83,12 @@ class TestBures:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_from_fidelity_matches_bures_distance(self, seed):
+        # the Bures distance from its definition, sqrt(2 - 2 tr sqrt(sqrt(a) b sqrt(a)))
         a, b = random_state(3, seed), random_state(3, seed + 100)
-        assert bures_from_fidelity(fidelity(a, b)) == bures_distance(a, b)
+        root = sqrtm(a.matrix)
+        f_def = float(np.trace(sqrtm(root @ b.matrix @ root)).real)
+        d = bures_from_fidelity(fidelity(a, b))
+        assert d == pytest.approx(math.sqrt(2.0 - 2.0 * f_def), abs=1e-10)
 
 
 class TestTraceDistance:

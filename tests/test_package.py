@@ -1,6 +1,7 @@
 """The public export list, the import graph of the package and the
 README's library quick start."""
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -33,6 +34,31 @@ def test_import_loads_neither_scipy_nor_mpmath():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A deletion can leave its imports behind. `# noqa: F401` marks a name
+    imported on purpose for others to find; __init__.py only re-exports."""
+    unused = []
+    for path in sorted(Path(qrecur.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        imported = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "noqa: F401" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_every_traced_attribute_resolves(monkeypatch):

@@ -9,10 +9,10 @@ from conftest import random_state, random_system
 from qrecur import (
     Grid,
     Hamiltonian,
-    bures_distance,
     default_dt,
     energy_bounds,
     evolve,
+    fidelity,
     fidelity_series,
     find_recurrence,
     gibbs_state,
@@ -23,8 +23,9 @@ from qrecur import (
     torus_surrogate_scan,
     validate_density,
 )
-from qrecur.bounds import dimension_bound, threshold_to_epsilon, EPS_BURES_SCALE
+from qrecur.bounds import dimension_bound, threshold_to_epsilon
 from qrecur.errors import BadParameter, GridTooCoarse
+from qrecur.metrics import bures_from_fidelity
 from qrecur.search import MAX_AUTO_SAMPLES
 
 
@@ -90,7 +91,7 @@ class TestFindRecurrence:
 
     def test_qubit_bracket_check(self):
         H, rho0 = qubit()
-        eps = threshold_to_epsilon(0.999, EPS_BURES_SCALE)
+        eps = threshold_to_epsilon(0.999)
         report = energy_bounds(H, rho0, eps)
         dt = default_dt(H)
         grid = Grid(0.0, dt, math.ceil(7.0 / dt))
@@ -324,7 +325,7 @@ class TestTorusSurrogate:
         t_surr, bures_ok = torus_surrogate_scan(H, rho0, 0.4, grid)
         assert bures_ok
         if t_surr is not None and t_surr > 0.0:
-            d = bures_distance(rho0, evolve(make_kernel(H, rho0), t_surr))
+            d = bures_from_fidelity(fidelity(rho0, evolve(make_kernel(H, rho0), t_surr)))
             assert d <= 0.4 + 1e-9
 
 

@@ -10,8 +10,8 @@ from qrecur import (
     FiniteMetricSpace,
     FlatTorus,
     Hamiltonian,
-    bures_distance,
     evolve,
+    fidelity,
     injectivity_radius,
     make_kernel,
     metric_recurrence_oracle,
@@ -151,7 +151,7 @@ class TestSubmersionInequality:
         torus = torus_from_state(rho0)
         lam = float(H.energies @ rho0.populations)
         d_torus = torus_distance(torus, torus_phase_at(H, lam, t))
-        d_bures = bures_distance(rho0, evolve(make_kernel(H, rho0), t))
+        d_bures = bures_from_fidelity(fidelity(rho0, evolve(make_kernel(H, rho0), t)))
         if d_bures > d_torus + 1e-9:
             # float64 fidelity noise can push bures up by ~sqrt(eps)
             d_bures = bures_hp(gram_factor(rho0.matrix), H.energies, H.hbar, t)

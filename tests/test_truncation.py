@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -47,12 +48,17 @@ class TestTruncate:
         assert t.P_N == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(t.sigma_tilde.matrix, rho0.matrix, atol=1e-12)
 
-    def test_sigma_N_embeds_block(self):
-        rho0 = random_state(4, 1)
-        t = truncate(rho0, 2)
-        assert t.sigma_N.shape == (4, 4)
-        assert np.all(t.sigma_N[2:, :] == 0) and np.all(t.sigma_N[:, 2:] == 0)
-        assert np.allclose(t.sigma_N[:2, :2], rho0.matrix[:2, :2])
+    def test_complement_is_distance_to_sigma_N(self):
+        # sigma_N: the full-size matrix that keeps the N-level block of rho0
+        # (reordered by population first) and is zero outside it
+        rho0 = random_state(5, 1)
+        for order, N in itertools.product(("energy", "population"), range(1, 6)):
+            t = truncate(rho0, N, order=order)
+            perm = list(t.permutation) if t.permutation else list(range(5))
+            m = rho0.matrix[np.ix_(perm, perm)]
+            sigma_N = np.zeros_like(m)
+            sigma_N[:N, :N] = m[:N, :N]
+            assert t.complement_hs_sq == float((np.abs(m - sigma_N) ** 2).sum())
 
     def test_population_order(self):
         rho0 = validate_density(np.diag([0.2, 0.5, 0.3]).astype(complex))
