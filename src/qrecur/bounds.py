@@ -171,13 +171,6 @@ def _beta_half(m: int) -> float:
     return math.sqrt(math.pi / a) * math.exp(-series)
 
 
-def log_gamma_ratio(a: float, b: float) -> float:
-    """ln Gamma(a) - ln Gamma(b) for positive a, b."""
-    if not (a > 0 and b > 0):
-        raise BadDomain("need a, b > 0")
-    return math.lgamma(a) - math.lgamma(b)
-
-
 def dimension_bound(n: int, epsilon: float) -> tuple[float, float]:
     """Stroboscopic step ceiling from the dimension alone.
 

@@ -227,12 +227,13 @@ def _cmd_geometry(args) -> int:
             "volume": tube_volume(n, theta, length),
         }
     if args.state:
-        _, rho0 = _load_system(args.state)
-        t = torus_from_state(rho0, reduce_support=args.reduce_support)
+        _, rho0, dropped = bounds.reduce_to_support(*_load_system(args.state))
+        t = torus_from_state(rho0)
         out["torus"] = {
             "radii": [float(r) for r in t.radii],
             "injectivity_radius": injectivity_radius(t),
             "volume": torus_volume(t),
+            "support_dropped": list(dropped),
         }
     if args.metric_space:
         with open(args.metric_space) as fh:
@@ -312,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geometry", help="torus/sphere/tube volumes and the metric oracle")
     p.add_argument("--ball", nargs=2, metavar=("N", "R"))
     p.add_argument("--tube", nargs=3, metavar=("N", "THETA", "LENGTH"))
-    p.add_argument("--state", help="system JSON; reports the phase-torus geometry")
-    p.add_argument("--reduce-support", action="store_true")
+    p.add_argument("--state", help="system JSON; reports the phase-torus geometry of its support")
     p.add_argument("--metric-space", help="JSON {points, dist, measure, permutation}")
     p.add_argument("--point", type=int, default=0)
     p.add_argument("--r", type=float, default=1.0)

@@ -1,6 +1,6 @@
 """Empirical recurrence-time measurement on a time grid.
 
-All grid scans run through one engine, `scan`. It evaluates the fidelity
+All fidelity scans run through one engine, `scan`. It evaluates the fidelity
 F(rho0, rho(t)) in the chunks of `evolution.chunk_bounds`, CHUNK_START
 samples doubling up to a cap set by the byte budget CHUNK_BYTES, so a
 scan that ends early pays for few samples and no chunk outgrows the
@@ -65,7 +65,7 @@ from .bounds import SUPPORT_TOL, BoundReport, dimension_bound
 from .errors import BadParameter, GridTooCoarse
 from .evolution import CHUNK_START, EvolutionKernel, chunk_bounds, chunk_cap, is_stationary
 from .evolution import make_kernel
-from .metrics import bures_from_fidelity, bures_hp, hs_norm, trace_norm
+from .metrics import bures_from_fidelity, bures_hp, energy_stats, hs_norm, trace_norm
 from .states import DensityMatrix, Hamiltonian
 from .torus import (
     torus_distance_series,
@@ -114,8 +114,9 @@ class Grid:
     steps: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.t0) and 0 < self.dt < math.inf and self.steps >= 1):
-            raise BadParameter("need finite t0, finite dt > 0 and steps >= 1")
+        whole = isinstance(self.steps, (int, np.integer)) and not isinstance(self.steps, bool)
+        if not (np.isfinite(self.t0) and 0 < self.dt < math.inf and whole and self.steps >= 1):
+            raise BadParameter("need finite t0, finite dt > 0 and an integer steps >= 1")
 
     def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Times of the samples lo..hi-1 (default: all of them)."""
@@ -573,7 +574,7 @@ def collect_samples(
     time, so memory stays within CHUNK_BYTES."""
     kernel = make_kernel(H, rho0)
     torus = torus_from_state(rho0) if np.all(rho0.populations > SUPPORT_TOL) else None
-    lam = float(H.energies @ rho0.populations)
+    lam, _ = energy_stats(H, rho0)
     for lo, hi in chunk_bounds(times.size, chunk_cap(40 * H.dim * (2 * H.dim + 1))):
         ts = times[lo:hi]
         f = fidelity_series(kernel, ts)
@@ -615,21 +616,15 @@ def stroboscopic_recurrence(
     cap = jmax_cap if math.isinf(jmax) else min(jmax_cap, math.ceil(jmax))
     kernel = make_kernel(H, rho0)
     counts = dict.fromkeys(_COUNTS, 0)
+    j_found = None
     # grid index j is the step count: sample j sits at 0 + t*j = j*t
     for lo, _, f in scan(kernel, Grid(0.0, t, cap + 1), 1, epsilon, counts):
-        if f is None:  # a settled range: no j in it returns
-            continue
-        hits = np.flatnonzero(f >= epsilon)
-        if hits.size:
-            return StroboscopicResult(
-                j_found=lo + int(hits[0]),
-                jmax_theory=jmax,
-                cap=cap,
-                cap_exceeded=False,
-                diagnostics=counts,
-            )
+        if f is not None and (f >= epsilon).any():  # no j in a settled range (None) returns
+            j_found = lo + int(np.argmax(f >= epsilon))
+            break
     return StroboscopicResult(
-        j_found=None, jmax_theory=jmax, cap=cap, cap_exceeded=cap < jmax, diagnostics=counts
+        j_found=j_found, jmax_theory=jmax, cap=cap, cap_exceeded=j_found is None and cap < jmax,
+        diagnostics=counts,
     )
 
 
@@ -648,7 +643,7 @@ def torus_surrogate_scan(
     if not r > 0:
         raise BadParameter("need r > 0")
     torus = torus_from_state(rho0)
-    lam = float(H.energies @ rho0.populations)
+    lam, _ = energy_stats(H, rho0)
     blocks = (
         (lo, hi, torus_distance_series(torus, torus_phase_at(H, lam, grid.times(lo, hi))))
         for lo, hi in chunk_bounds(grid.steps, chunk_cap(40 * torus.dim))

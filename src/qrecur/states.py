@@ -130,6 +130,8 @@ def validate_density(entries) -> DensityMatrix:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):  # NaN would pass every check below
+        raise BadParameter("density matrix entries must be finite")
     herm_dev = np.abs(m - m.conj().T).max()
     if herm_dev > HERMITICITY_TOL:
         raise NotHermitian(f"max |m - m^dag| = {herm_dev:.3e}")
@@ -151,8 +153,8 @@ def validate_density(entries) -> DensityMatrix:
 def pure_state(amplitudes) -> DensityMatrix:
     """Rank-1 projector |psi><psi| from a normalized amplitude vector."""
     psi = np.array(amplitudes, dtype=complex)  # a copy: it becomes the factor
-    if psi.ndim != 1 or psi.size < 1:
-        raise BadParameter("amplitudes must be a non-empty vector")
+    if psi.ndim != 1 or psi.size < 1 or not np.all(np.isfinite(psi)):
+        raise BadParameter("amplitudes must be a non-empty vector of finite numbers")
     norm2 = np.vdot(psi, psi).real
     if abs(norm2 - 1.0) > 1e-12:
         raise NotNormalized(f"squared norm deviates from 1 by {abs(norm2 - 1.0):.3e}")

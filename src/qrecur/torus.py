@@ -47,15 +47,13 @@ class FlatTorus:
         return self.radii.size
 
 
-def torus_from_state(rho0: DensityMatrix, reduce_support: bool = False) -> FlatTorus:
-    """Torus with radii sqrt(p_k) from the populations of rho0."""
+def torus_from_state(rho0: DensityMatrix) -> FlatTorus:
+    """Torus with radii sqrt(p_k) from the populations of rho0, all above SUPPORT_TOL."""
     p = rho0.populations
     if np.any(p <= SUPPORT_TOL):
-        if not reduce_support:
-            raise ZeroPopulation(
-                f"populations below tolerance at indices {np.flatnonzero(p <= SUPPORT_TOL).tolist()}"
-            )
-        p = p[p > SUPPORT_TOL]
+        raise ZeroPopulation(
+            f"populations below tolerance at indices {np.flatnonzero(p <= SUPPORT_TOL).tolist()}"
+        )
     return FlatTorus(np.sqrt(p))
 
 
@@ -150,6 +148,8 @@ class FiniteMetricSpace:
         m = len(self.points)
         if d.shape != (m, m):
             raise BadDomain(f"distance matrix shape {d.shape} != ({m}, {m})")
+        if not np.all(np.isfinite(d)):  # NaN would pass every check below
+            raise BadDomain("distances must be finite")
         if mu.shape != (m,) or not np.all(mu > 0):
             raise BadDomain("measure must be m positive weights")
         if np.abs(d - d.T).max() > METRIC_TOL:

@@ -8,6 +8,7 @@ avoid the code paths they check.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -83,9 +84,9 @@ class _SubmersionCheck:
     where rho(0) = rho0, the exact Bures distance 0 is used instead.
     """
 
-    def __init__(self, H, rho0, lam: float):
-        self.H, self.lam = H, lam
-        self.w = rho0.factor
+    def __init__(self, H, rho0):
+        self.H, self.w = H, rho0.factor
+        self.lam, _ = metrics.energy_stats(H, rho0)
         self.torus = torus_from_state(rho0)
         self.excess = -math.inf
 
@@ -134,12 +135,13 @@ def qubit_example_suite() -> dict:
 
 
 def _random_instance(seed_pair):
+    """(H, rho0, eps, threshold) of a seeded system of 2..5 levels."""
     rng = np.random.default_rng(seed_pair)
     n = int(rng.integers(2, 6))
     H = states.random_hamiltonian(n, rng)
     rho0 = states.random_density(n, rng)
-    u = float(rng.uniform(0.45, 0.7))
-    return H, rho0, u
+    eps = float(rng.uniform(0.45, 0.7)) * math.pi * float(np.sqrt(rho0.populations.min()))
+    return H, rho0, eps, 1.0 - eps**2 / 4.0
 
 
 def bracket_ensemble_suite(
@@ -154,14 +156,11 @@ def bracket_ensemble_suite(
     measured recurrence.
     """
     violations = []
-    skipped = no_departure = checked = 0
+    skipped = no_departure = checked = recurrences = 0
     submersion_excess = -math.inf
     fvg_ceiling_ok = True
-    recurrences = []
     for i in range(count):
-        H, rho0, u = _random_instance([seed, i])
-        eps = u * math.pi * float(np.sqrt(rho0.populations.min()))
-        threshold = 1.0 - eps**2 / 4.0
+        H, rho0, eps, threshold = _random_instance([seed, i])
         report = bounds.energy_bounds(H, rho0, eps)
         dt = min(default_dt(H), report.lower_mt / 4.0)
         steps = math.ceil((report.upper_product + 2.0 * dt) / dt)
@@ -170,7 +169,7 @@ def bracket_ensemble_suite(
             continue
         checked += 1
         kernel = make_kernel(H, rho0)
-        submersion = _SubmersionCheck(H, rho0, report.lambda_shift)
+        submersion = _SubmersionCheck(H, rho0)
         grid = Grid(0.0, dt, steps)
         dep_idx, rec_idx = search._first_crossing(
             submersion.watch(search.scan(kernel, grid), grid),
@@ -184,7 +183,7 @@ def bracket_ensemble_suite(
             violations.append({"instance": i, "kind": "no_return_within_upper"})
             continue
         t_rec = dt * rec_idx
-        recurrences.append((i, t_rec))
+        recurrences += 1
         check = report.bracket_check(t_rec, dt)
         if not (check["lower_ok"] and check["upper_ok"]):
             violations.append(
@@ -209,7 +208,7 @@ def bracket_ensemble_suite(
         "violations": violations,
         "submersion_excess": submersion_excess,
         "fvg_ceiling_ok": fvg_ceiling_ok,
-        "n_recurrences": len(recurrences),
+        "n_recurrences": recurrences,
     }
 
 
@@ -381,11 +380,13 @@ def special_function_suite() -> dict:
         exact = 4.0 / math.sqrt(2.0 - 2.0 * eps)
         if abs(jmax - exact) > 1e-12 * exact:
             n1_ok = False
-    # product oracle: ln Gamma(16) from 15!, ln Gamma(16.5) from Gamma(0.5)
-    ref = gamma_product_log(1.0, 15, 0.0) - gamma_product_log(
-        0.5, 16, math.log(math.sqrt(math.pi))
+    # product oracle: ln B(a, 1/2) = ln Gamma(a) - ln(Gamma(a + 1/2)/Gamma(1/2)),
+    # at a = 16 (Wallis's ratio) and a = 40 (the series)
+    ratio_ok = all(
+        abs(math.log(bounds._beta_half(2 * a - 1)) - gamma_product_log(1.0, a - 1, 0.0)
+            + gamma_product_log(0.5, a, 0.0)) <= 1e-10
+        for a in (16, 40)
     )
-    ratio_ok = abs(bounds.log_gamma_ratio(16.0, 16.5) - ref) <= 1e-10
     sin_ok = True
     worst = 0.0
     for m in (0, 1, 6, 30):
@@ -405,9 +406,7 @@ def special_function_suite() -> dict:
 def invariance_suite(seed: int = 42) -> dict:
     """Recurrence results are unchanged by a zero-point energy shift."""
     rng = np.random.default_rng([seed, 1])
-    H, rho0, u = _random_instance([seed, 101])
-    eps = u * math.pi * float(np.sqrt(rho0.populations.min()))
-    threshold = 1.0 - eps**2 / 4.0
+    H, rho0, _, threshold = _random_instance([seed, 101])
     grid = Grid(0.0, default_dt(H), 50_000)
     base = search.find_recurrence(H, rho0, threshold, grid)
     mismatches = 0
@@ -442,7 +441,7 @@ def run_suites(names=None, seed: int = 42) -> dict:
     for name, fn in ALL_SUITES.items():
         if names and name not in names:
             continue
-        kwargs = {"seed": seed} if "seed" in fn.__code__.co_varnames else {}
+        kwargs = {"seed": seed} if "seed" in inspect.signature(fn).parameters else {}
         results[name] = fn(**kwargs)
     results["ok"] = all(r["ok"] for r in results.values())
     return results

@@ -127,7 +127,7 @@ def test_criterion_08_submersion_inequality(ensemble):
     # criterion-1 grid, through the same check: float64 flags, 40-digit re-check
     H = qubit_hamiltonian(1.0)
     rho0 = pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    check = verify._SubmersionCheck(H, rho0, float(H.energies @ rho0.populations))
+    check = verify._SubmersionCheck(H, rho0)
     grid = Grid(0.0, default_dt(H), 64)
     for _ in check.watch(search.scan(make_kernel(H, rho0), grid), grid):
         pass

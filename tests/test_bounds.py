@@ -29,7 +29,6 @@ from qrecur.bounds import (
     EPS_BURES_SCALE,
     EPS_FIDELITY_FLOOR,
     log_cn,
-    log_gamma_ratio,
     log_sin_power_integral,
 )
 from qrecur.errors import (
@@ -129,22 +128,6 @@ class TestSinPowerAccuracy:
         with mp.workdps(50):
             log_prefactor = mp.log(2) + (m + 1) * mp.log(mp.pi) / 2 - mp.loggamma(mp.mpf(m + 1) / 2)
             assert sphere_ball_volume(m + 1, x) == float(mp.exp(log_prefactor + ref))
-
-
-class TestLogGammaRatio:
-    def test_closed_form(self):
-        assert log_gamma_ratio(1.0, 1.5) == pytest.approx(
-            -math.log(math.sqrt(math.pi) / 2.0), abs=1e-13
-        )
-
-    def test_against_direct_gamma(self):
-        assert log_gamma_ratio(4.0, 4.5) == pytest.approx(
-            math.log(gamma(4.0) / gamma(4.5)), abs=1e-12
-        )
-
-    def test_domain(self):
-        with pytest.raises(BadDomain):
-            log_gamma_ratio(0.0, 1.0)
 
 
 class TestDimensionBound:

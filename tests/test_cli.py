@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qrecur import bounds, evolution
+from qrecur import bounds, evolution, verify
 from qrecur.cli import MAX_AUTO_SAMPLES, _load_system, _resolve_grid, main
 from qrecur.evolution import evolve, make_kernel
 from qrecur.metrics import bures_from_fidelity, hs_norm, trace_distance_norm
@@ -532,6 +532,21 @@ class TestGeometry:
             math.pi * math.sqrt(0.2)
         )
 
+    def test_state_with_an_empty_level_takes_the_support_of_bounds(self, tmp_path, capsys):
+        # level 2 sits at SUPPORT_TOL: both commands drop it by the one cut
+        # and print the same radii, bit for bit
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(
+            {"energies": [0.0, 1.0, 2.0], "state": {"diagonal": [0.6, 0.39999999999999, 1e-14]}}
+        ))
+        code, out = run_json(["geometry", "--state", str(path)], capsys)
+        assert code == 0
+        assert out["torus"]["support_dropped"] == [2]
+        code, report = run_json(["bounds", "--input", str(path), "--threshold", "0.9"], capsys)
+        assert code == 0
+        assert report["support_dropped"] == [2]
+        assert out["torus"]["radii"] == report["torus_radii"]
+
     @pytest.fixture
     def cycle6_json(self, tmp_path):
         m = 6
@@ -593,6 +608,43 @@ class TestVerify:
         assert code == 0
         assert "special_functions: PASS" in out
 
+    @pytest.mark.parametrize("branch", [lambda m: m < 64, lambda m: m >= 64], ids=["wallis", "series"])
+    def test_gamma_ratio_oracle_catches_a_beta_off_by_1e_9(self, branch, monkeypatch):
+        beta_half = bounds._beta_half
+        monkeypatch.setattr(
+            bounds, "_beta_half", lambda m: beta_half(m) * (1.0 + (1e-9 if branch(m) else 0.0))
+        )
+        res = verify.special_function_suite()
+        assert res["gamma_ratio_ok"] is False and res["ok"] is False
+
+    def test_seed_goes_only_to_suites_with_a_seed_parameter(self, monkeypatch):
+        def local_seed_suite():
+            seed = 7  # a local variable, not a parameter
+            return {"ok": seed == 7}
+
+        monkeypatch.setitem(verify.ALL_SUITES, "local_seed", local_seed_suite)
+        assert verify.run_suites({"local_seed"}, seed=3) == {"local_seed": {"ok": True}, "ok": True}
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"pure": [[math.nan, 0.0], [0.7071067811865476, 0.0]]},
+        {"matrix": [[[0.5, 0.0], [math.nan, 0.0]], [[math.nan, 0.0], [0.5, 0.0]]]},
+        {"diagonal": [math.inf, 0.5]},
+    ],
+    ids=["pure", "matrix", "diagonal"],
+)
+def test_non_finite_state_gives_an_error_json(state, tmp_path, capsys):
+    # a NaN amplitude used to give a "stationary" search with a NaN missable_depth
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"energies": [0.0, 1.0], "state": state}))
+    argv = ["search", "--input", str(path), "--threshold", "0.9", "--horizon", "1.0"]
+    code, out = run_json(argv, capsys)
+    assert code == 1
+    assert out["error"] == "BadParameter"
+    assert "finite" in out["message"]
+
 
 QUBIT_DIAGONAL = {"energies": [0.0, 1.0], "state": {"diagonal": [0.5, 0.5]}}
 CYCLE1 = {"points": [0], "dist": [[0.0]], "measure": [1.0], "permutation": [0]}
@@ -618,6 +670,13 @@ CYCLE1 = {"points": [0], "dist": [[0.0]], "measure": [1.0], "permutation": [0]}
             "permutation",
         ),
         ("--metric-space", [1, 2], "BadDomain", "points"),
+        (
+            "--metric-space",
+            {"points": [0, 1], "dist": [[0, math.nan], [math.nan, 0]], "measure": [1, 1],
+             "permutation": [1, 0]},
+            "BadDomain",
+            "dist",
+        ),
         *(
             ("--metric-space", {k: v for k, v in CYCLE1.items() if k != field}, "BadDomain", field)
             for field in CYCLE1
@@ -625,7 +684,7 @@ CYCLE1 = {"points": [0], "dist": [[0.0]], "measure": [1.0], "permutation": [0]}
     ],
     ids=[
         "hbar-null", "hbar-list", "state-number", "gibbs-number", "points-number", "perm-number",
-        "space-list", "no-points", "no-dist", "no-measure", "no-permutation",
+        "space-list", "dist-nan", "no-points", "no-dist", "no-measure", "no-permutation",
     ],
 )
 def test_malformed_input_file_gives_an_error_json(flag, spec, error, field, tmp_path, capsys):

@@ -371,12 +371,11 @@ class TestPrunedFirstCrossingOnChunkBoundaries(TestFirstCrossingOnChunkBoundarie
 def _ensemble_case(i):
     """Instance i of the bracket ensemble at seed 42, with its threshold
     and grid."""
-    H, rho0, u = verify._random_instance([42, i])
-    eps = u * math.pi * float(np.sqrt(rho0.populations.min()))
+    H, rho0, eps, threshold = verify._random_instance([42, i])
     report = qrecur.bounds.energy_bounds(H, rho0, eps)
     dt = min(default_dt(H), report.lower_mt / 4.0)
     steps = math.ceil((report.upper_product + 2.0 * dt) / dt)
-    return H, rho0, 1.0 - eps**2 / 4.0, Grid(0.0, dt, steps)
+    return H, rho0, threshold, Grid(0.0, dt, steps)
 
 
 class TestPrunedScan:
@@ -424,7 +423,7 @@ class TestPrunedScan:
         # the default grid steps over the true first return of these three
         # (137.7, 207.0 and 110.5 on a 64 times finer grid); skipping
         # samples must neither mend nor move that
-        H, rho0, _ = verify._random_instance([42, i])
+        H, rho0, *_ = verify._random_instance([42, i])
         grid = Grid(0.0, default_dt(H), math.ceil(400.0 / default_dt(H)))
         dep, rec = self._crossings(H, rho0, threshold, grid)
         assert dep == 1

@@ -51,6 +51,12 @@ class TestGrid:
         with pytest.raises(BadParameter):
             Grid(0.0, math.inf, 10)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True])
+    def test_non_integer_steps_are_refused(self, steps):
+        # 2.5 and True pass steps >= 1, and find_recurrence used to run on both
+        with pytest.raises(BadParameter, match="integer steps"):
+            Grid(0.0, 0.1, steps)
+
 
 class TestDefaultDt:
     def test_quarter_period_of_fastest_line(self):

@@ -68,6 +68,17 @@ class TestValidateDensity:
         assert abs(rho.matrix.trace().real - 1.0) <= 1e-12
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries(self, bad):
+        # NaN fails every > check, so it passed hermiticity, trace and positivity
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(BadParameter, match="finite"):
+            validate_density(m)
+        with pytest.raises(BadParameter, match="finite"):  # a system file's diagonal kind
+            validate_density(np.diag([1.0, bad]).astype(complex))
+
+
 class TestPureState:
     def test_basis_state(self):
         assert np.allclose(pure_state([1.0, 0.0]).matrix, [[1, 0], [0, 0]])
@@ -84,6 +95,11 @@ class TestPureState:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             pure_state([1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitudes(self, bad):
+        with pytest.raises(BadParameter, match="finite"):
+            pure_state(np.array([bad, 1.0 / math.sqrt(2.0)]))
 
     def test_factor_is_the_amplitudes(self):
         rng = np.random.default_rng(5)

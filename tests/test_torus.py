@@ -52,8 +52,6 @@ class TestFlatTorus:
         rho0 = validate_density(np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(ZeroPopulation):
             torus_from_state(rho0)
-        t = torus_from_state(rho0, reduce_support=True)
-        assert t.dim == 1
 
     def test_bad_radii(self):
         with pytest.raises(BadDomain):
@@ -184,7 +182,7 @@ class TestSubmersionInequality:
         tdist = torus_distance_series(torus_from_state(rho0), torus_phase_at(H, lam, times))
         flagged = np.flatnonzero((bures > tdist + 1e-9) & (times > 0.0))
         assert flagged.size > 0
-        check = verify._SubmersionCheck(H, rho0, lam)
+        check = verify._SubmersionCheck(H, rho0)
         for _ in check.watch(scan(kernel, grid), grid):
             pass
         assert rechecked == times[flagged].tolist()
@@ -255,6 +253,15 @@ class TestFiniteMetricSpace:
                 points=(0, 1),
                 dist=np.array([[0.0, 1.0], [2.0, 0.0]]),
                 measure=np.ones(2),
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_validation_rejects_non_finite_distances(self, bad):
+        # NaN fails every comparison, so it passed the symmetry, sign and
+        # triangle checks; inf - inf is NaN
+        with pytest.raises(BadDomain, match="finite"):
+            FiniteMetricSpace(
+                points=(0, 1), dist=np.array([[0.0, bad], [bad, 0.0]]), measure=np.ones(2)
             )
 
     def test_validation_rejects_triangle_violation(self):
