@@ -15,7 +15,7 @@ carry both the linear value (saturating to inf) and its log.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ EPS_FIDELITY_FLOOR = "fidelity_floor"  # F >= eps
 EPS_BURES_SCALE = "bures_scale"  # F >= 1 - eps^2/4
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Bracket for the recurrence time of one state, plus metadata."""
 
     n: int
@@ -61,7 +60,7 @@ class BoundReport:
     log_jmax_dimension: float
     torus_radii: tuple[float, ...]
     max_epsilon: float
-    preconditions: dict = field(default_factory=dict)
+    preconditions: dict = {}
     support_dropped: tuple[int, ...] = ()
     distance_ceiling: float | None = None
     ceiling_norm: str | None = None
@@ -74,7 +73,7 @@ class BoundReport:
         return {"lower_mt": lo, "upper_product": hi, **ok}
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = self._asdict()
         if self.distance_ceiling is None:
             del d["distance_ceiling"], d["ceiling_norm"]
         return d
@@ -342,36 +341,41 @@ def truncated_bounds(
         ceiling = ceiling_base + 2.0 * trunc.P_N * (1.0 - epsilon**2)
     else:
         raise BadDomain(f"unknown mode {mode!r}")
-    return replace(report, distance_ceiling=ceiling, ceiling_norm="trace")
+    return report._replace(distance_ceiling=ceiling, ceiling_norm="trace")
 
 
-def _count_frequencies(nu) -> int:
-    """len(nu), once nu is known to be non-empty and finite."""
+def _gaps_to_lowest(nu) -> np.ndarray:
+    """The n - 1 gaps nu_k - min(nu) from the lowest of the n = len(nu)
+    frequencies to the others, ascending; an empty or non-finite nu is
+    refused. They depend neither on the zero of energy nor on the order
+    of nu; a level equal to the lowest gives a zero gap."""
     if len(nu) < 1:
         raise BadDomain("need n >= 1 frequencies")
     if not all(math.isfinite(v) for v in nu):
         raise BadDomain("frequencies must be finite")
-    return len(nu)
+    nu = np.sort(np.asarray(nu, dtype=float))
+    return nu[1:] - nu[0]
 
 
 def peres_estimate(nu, epsilon: float) -> float:
-    """Order-of-magnitude recurrence estimate 1/(n^(1/2)*nu*sigma) from
-    the n = len(nu) frequencies nu.
+    """Order-of-magnitude recurrence estimate 1/(n^(1/2)*g*sigma) from
+    the n gaps of the frequencies nu to the lowest one: g is their mean
+    and sigma the volume of the (n-1)-ball of radius sqrt(n eps)/(2 pi).
 
     This is an estimate, not a bound; reports must label it as such and
     never assert it against measured times.
     """
-    n = _count_frequencies(nu)
-    if not all(v > 0 for v in nu) or not epsilon > 0:
-        raise BadDomain("need positive frequencies and epsilon")
-    nu_mean = sum(nu) / n
+    gaps = _gaps_to_lowest(nu)
+    n = gaps.size
+    if n < 1 or not np.all(gaps > 0) or not epsilon > 0:
+        raise BadDomain("need positive gaps to the lowest frequency and a positive epsilon")
     log_r = 0.5 * math.log(n * epsilon) - math.log(2.0 * math.pi)
     log_sigma = (
         (n - 1) / 2.0 * math.log(math.pi)
         + (n - 1) * log_r
         - math.lgamma((n + 1) / 2.0)
     )
-    return _safe_exp(-(0.5 * math.log(n) + math.log(nu_mean) + log_sigma))
+    return _safe_exp(-(0.5 * math.log(n) + math.log(float(gaps.mean())) + log_sigma))
 
 
 def bhattacharyya_estimate(nu, epsilon: float) -> float:
@@ -381,13 +385,13 @@ def bhattacharyya_estimate(nu, epsilon: float) -> float:
     Uses the root-mean-square gap to the lowest frequency; degenerate
     spectra (all frequencies equal) are rejected.
     """
-    n = _count_frequencies(nu)
+    gaps = _gaps_to_lowest(nu)
+    n = gaps.size + 1
     if n < 2:
         raise BadDomain("need n >= 2")
     if not epsilon > 0:
         raise BadDomain("need positive epsilon")
-    nu = np.asarray(nu, dtype=float)
-    nu_m1 = float(np.sqrt(((nu[1:] - nu[0]) ** 2).sum() / (n - 1)))
+    nu_m1 = float(np.sqrt((gaps**2).sum() / (n - 1)))
     if nu_m1 == 0.0:
         raise DegenerateSpectrum("all frequencies equal")
     log_val = (

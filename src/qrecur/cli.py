@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 from itertools import repeat
 
 from . import bounds, search, verify
@@ -183,7 +182,7 @@ def _cmd_strobe(args) -> int:
     )
     _dump_json(
         {
-            **asdict(res),
+            **res._asdict(),
             "epsilon": args.epsilon,
             "epsilon_convention": bounds.EPS_FIDELITY_FLOOR,
             "t": args.t,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ def chunk_bounds(stop: int, cap: int) -> Iterator[tuple[int, int]]:
         start, size = hi, min(2 * size, cap)
 
 
-@dataclass(frozen=True)
-class EvolutionKernel:
+class EvolutionKernel(NamedTuple):
     """rho0 with what its evolution needs.
 
     levels[k] = (E_k - c)/hbar with c the middle of the spectrum, so phase
@@ -64,11 +63,11 @@ class EvolutionKernel:
     """
 
     rho0: DensityMatrix
-    levels: np.ndarray = field(repr=False)
-    factor: np.ndarray = field(repr=False)
+    levels: np.ndarray
+    factor: np.ndarray
     rank: int
     speed: float
-    coherence: np.ndarray = field(repr=False)
+    coherence: np.ndarray
     mixedness: float
 
     @property

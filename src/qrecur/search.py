@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .errors import BadParameter, GridTooCoarse
 from .evolution import CHUNK_START, EvolutionKernel, chunk_bounds, chunk_cap, is_stationary
 from .evolution import make_kernel
 from .metrics import bures_from_fidelity, bures_hp, energy_stats, hs_norm, trace_norm
-from .states import DensityMatrix, Hamiltonian
+from .states import DensityMatrix, Hamiltonian, _validated_make
 from .torus import (
     torus_distance_series,
     torus_from_state,
@@ -107,16 +107,21 @@ def _g_rounding(n: int) -> float:
     return 4.0 * (n + 2) ** 2 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class Grid:
+class _GridFields(NamedTuple):
     t0: float
     dt: float
     steps: int
 
-    def __post_init__(self):
-        whole = isinstance(self.steps, (int, np.integer)) and not isinstance(self.steps, bool)
-        if not (np.isfinite(self.t0) and 0 < self.dt < math.inf and whole and self.steps >= 1):
+
+class Grid(_GridFields):
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, t0: float, dt: float, steps: int):
+        whole = isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
+        if not (np.isfinite(t0) and 0 < dt < math.inf and whole and steps >= 1):
             raise BadParameter("need finite t0, finite dt > 0 and an integer steps >= 1")
+        return super().__new__(cls, t0, dt, steps)
 
     def times(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Times of the samples lo..hi-1 (default: all of them)."""
@@ -127,8 +132,7 @@ class Grid:
         return t
 
 
-@dataclass(frozen=True)
-class RecurrenceResult:
+class RecurrenceResult(NamedTuple):
     threshold: float
     t_departure: float | None
     t_rec: float | None
@@ -136,22 +140,23 @@ class RecurrenceResult:
     stationary: bool  # rho0 commutes with H
     no_departure_within_horizon: bool
     refined: bool
-    bracket_check: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)  # how it was found, see find_recurrence
+    bracket_check: dict = {}
+    diagnostics: dict = {}  # how it was found, see find_recurrence
 
     def to_dict(self) -> dict:
         step = "time on the dt/1024 grid of the step up to the grid crossing,"
         first = f"first {step if self.refined else 'grid time'}"
-        return {**asdict(self), "definition": f"{first} after the first departure below threshold"}
+        definition = f"{first} after the first departure below threshold"
+        # grid as an object: the CLI writes a tuple, so a Grid, as a JSON list
+        return {**self._asdict(), "grid": self.grid._asdict(), "definition": definition}
 
 
-@dataclass(frozen=True)
-class StroboscopicResult:
+class StroboscopicResult(NamedTuple):
     j_found: int | None
     jmax_theory: float
     cap: int
     cap_exceeded: bool  # search cap below the theory ceiling and nothing found
-    diagnostics: dict = field(default_factory=dict)  # the scan's counts, as in find_recurrence
+    diagnostics: dict = {}  # the scan's counts, as in find_recurrence
 
 
 def default_dt(H: Hamiltonian) -> float:

@@ -7,7 +7,7 @@ Times are reported in units of hbar/energy; hbar defaults to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,26 +26,36 @@ PSD_TOL = 1e-10
 TRACE_INPUT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+def _validated_make(cls, fields):
+    """_make, and so _replace, of a validated NamedTuple: through its
+    constructor, where tuple.__new__ would skip the checks."""
+    return cls(*fields)
+
+
+class _HamiltonianFields(NamedTuple):
+    energies: np.ndarray
+    hbar: float
+
+
+class Hamiltonian(_HamiltonianFields):
     """Discrete spectrum, diagonal in the computational basis.
 
     Degenerate energies are allowed and are not de-duplicated.
     """
 
-    energies: np.ndarray
-    hbar: float = 1.0
+    __slots__ = ()
+    _make = classmethod(_validated_make)
 
-    def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
+    def __new__(cls, energies, hbar: float = 1.0):
+        energies = np.asarray(energies, dtype=float)
         if energies.ndim != 1 or energies.size < 1:
             raise BadParameter("energies must be a non-empty 1-d array")
         if not np.all(np.isfinite(energies)):
             raise BadParameter("energies must be finite")
-        if not (np.isfinite(self.hbar) and self.hbar > 0):
+        if not (np.isfinite(hbar) and hbar > 0):
             raise BadParameter("hbar must be a positive finite real")
-        object.__setattr__(self, "energies", energies)
         energies.setflags(write=False)
+        return super().__new__(cls, energies, hbar)
 
     @property
     def dim(self) -> int:
@@ -80,7 +90,6 @@ def gram_factor(m: np.ndarray) -> np.ndarray:
     return _support_factor(vals, vecs)
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix: Hermitian, PSD, unit trace. The constructor only
     stores the matrix read-only and checks none of these; build one from
@@ -92,15 +101,18 @@ class DensityMatrix:
     computed on first use.
     """
 
-    matrix: np.ndarray = field(repr=False)
-    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("_matrix", "_factor")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        m.setflags(write=False)
-        if self._factor is not None:
-            self._factor.setflags(write=False)
+    def __init__(self, matrix: np.ndarray, _factor: np.ndarray | None = None):
+        self._matrix = np.asarray(matrix, dtype=complex)
+        self._matrix.setflags(write=False)
+        if _factor is not None:
+            _factor.setflags(write=False)
+        self._factor = _factor
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
 
     @property
     def dim(self) -> int:
@@ -114,9 +126,8 @@ class DensityMatrix:
     def factor(self) -> np.ndarray:
         """n x r Gram factor W, matrix = W W^dag over its support."""
         if self._factor is None:
-            w = gram_factor(self.matrix)
-            w.setflags(write=False)
-            object.__setattr__(self, "_factor", w)
+            self._factor = gram_factor(self.matrix)
+            self._factor.setflags(write=False)
         return self._factor
 
 
@@ -217,6 +228,14 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
+def _array(name: str, value, dtype=float) -> np.ndarray:
+    """value as an array, else BadParameter naming the field."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # a string or a ragged list
+        raise BadParameter(f"{name} must be an array of numbers: {exc}") from None
+
+
 def system_from_dict(spec: dict) -> tuple[Hamiltonian, DensityMatrix]:
     """Parse the JSON system description consumed by the CLI.
 
@@ -231,19 +250,19 @@ def system_from_dict(spec: dict) -> tuple[Hamiltonian, DensityMatrix]:
         raise BadParameter(f"missing system field: {exc}") from None
     if not isinstance(state, dict) or not isinstance(state.get("gibbs", {}), dict):
         raise BadParameter(f"state is not one of matrix, pure, diagonal or gibbs: {state!r}")
-    H = Hamiltonian(np.asarray(energies, dtype=float), _number("hbar", spec.get("hbar", 1.0)))
+    H = Hamiltonian(_array("energies", energies), _number("hbar", spec.get("hbar", 1.0)))
     if "matrix" in state:
-        raw = np.asarray(state["matrix"], dtype=float)
+        raw = _array("state.matrix", state["matrix"])
         if raw.ndim != 3 or raw.shape[2] != 2:
             raise BadParameter("state.matrix must be n x n x [re, im]")
         rho = validate_density(raw[..., 0] + 1j * raw[..., 1])
     elif "pure" in state:
-        raw = np.asarray(state["pure"], dtype=float)
+        raw = _array("state.pure", state["pure"])
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise BadParameter("state.pure must be n x [re, im]")
         rho = pure_state(raw[:, 0] + 1j * raw[:, 1])
     elif "diagonal" in state:
-        rho = validate_density(np.diag(np.asarray(state["diagonal"], dtype=complex)))
+        rho = validate_density(np.diag(_array("state.diagonal", state["diagonal"], complex)))
     elif "gibbs" in state:
         rho = gibbs_state(H, _number("state.gibbs.beta", state["gibbs"].get("beta")))
     else:

@@ -11,7 +11,7 @@ useful surrogate for recurrence searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,23 +24,27 @@ from .errors import (
     NotMeasurePreserving,
     ZeroPopulation,
 )
-from .states import DensityMatrix, Hamiltonian
+from .states import DensityMatrix, Hamiltonian, _validated_make
 
 METRIC_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FlatTorus:
-    """Product of circles with the given radii; flat product metric."""
-
+class _FlatTorusFields(NamedTuple):
     radii: np.ndarray
 
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
+
+class FlatTorus(_FlatTorusFields):
+    """Product of circles with the given radii; flat product metric."""
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, radii: np.ndarray):
+        r = np.asarray(radii, dtype=float)
         if r.ndim != 1 or r.size < 1 or not np.all(r > 0):
             raise BadDomain("radii must be a non-empty vector of positive reals")
-        object.__setattr__(self, "radii", r)
         r.setflags(write=False)
+        return super().__new__(cls, r)
 
     @property
     def dim(self) -> int:
@@ -134,24 +138,32 @@ def tube_volume(n: int, theta: float, length: float) -> float:
     return _safe_exp(log_v)
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class _FiniteMetricSpaceFields(NamedTuple):
+    points: tuple
+    dist: np.ndarray
+    measure: np.ndarray
+
+
+class FiniteMetricSpace(_FiniteMetricSpaceFields):
     """Finitely many points with an explicit metric and positive weights."""
 
-    points: tuple
-    dist: np.ndarray = field(repr=False)
-    measure: np.ndarray = field(repr=False)
+    __slots__ = ()
+    _make = classmethod(_validated_make)
 
-    def __post_init__(self):
-        d = np.asarray(self.dist, dtype=float)
-        mu = np.asarray(self.measure, dtype=float)
-        m = len(self.points)
+    def __new__(cls, points: tuple, dist: np.ndarray, measure: np.ndarray):
+        d = np.asarray(dist, dtype=float)
+        mu = np.asarray(measure, dtype=float)
+        m = len(points)
         if d.shape != (m, m):
             raise BadDomain(f"distance matrix shape {d.shape} != ({m}, {m})")
         if not np.all(np.isfinite(d)):  # NaN would pass every check below
             raise BadDomain("distances must be finite")
         if mu.shape != (m,) or not np.all(mu > 0):
             raise BadDomain("measure must be m positive weights")
+        with np.errstate(over="ignore"):  # an overflowing total is refused, not warned about
+            total = float(mu.sum())
+        if not math.isfinite(total):  # an infinite weight, or finite weights that overflow
+            raise BadDomain(f"measure must be finite weights with a finite total, got {total}")
         if np.abs(d - d.T).max() > METRIC_TOL:
             raise BadDomain("distance matrix is not symmetric")
         if np.abs(np.diag(d)).max() > METRIC_TOL:
@@ -164,10 +176,9 @@ class FiniteMetricSpace:
             via = (d[:, lo:hi, None] + d[None, lo:hi, :]).min(axis=1)
             if np.any(d > via + METRIC_TOL):
                 raise BadDomain("triangle inequality violated")
-        object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "measure", mu)
         d.setflags(write=False)
         mu.setflags(write=False)
+        return super().__new__(cls, points, d, mu)
 
     @property
     def size(self) -> int:
@@ -191,8 +202,7 @@ class FiniteMetricSpace:
         )
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     n_rec: int
     bound: float
     ok: bool

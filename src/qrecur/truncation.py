@@ -10,7 +10,7 @@ separately so the two conventions can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .errors import BadN, ZeroProbability
 from .states import DensityMatrix, Hamiltonian, validate_density
 
 
-@dataclass(frozen=True)
-class TruncationResult:
+class TruncationResult(NamedTuple):
     N: int
     sigma_tilde: DensityMatrix
     delta_N: float

@@ -339,13 +339,14 @@ class TestTruncatedBounds:
 
 class TestEstimates:
     def test_peres_n1(self):
-        assert peres_estimate((2.5,), 0.3) == pytest.approx(
+        # one gap, 2.5: sigma = 1, value = 1/2.5
+        assert peres_estimate((0.0, 2.5), 0.3) == pytest.approx(
             1.0 / 2.5, rel=1e-12
         )
 
     def test_peres_n2_closed_form(self):
-        # nu = (1, 3), eps = 1: R = sqrt(2)/(2 pi), sigma = 2R, value = pi/4
-        assert peres_estimate((1.0, 3.0), 1.0) == pytest.approx(
+        # gaps (1, 3), eps = 1: R = sqrt(2)/(2 pi), sigma = 2R, value = pi/4
+        assert peres_estimate((0.0, 1.0, 3.0), 1.0) == pytest.approx(
             math.pi / 4.0, rel=1e-12
         )
 
@@ -364,8 +365,17 @@ class TestEstimates:
             bhattacharyya_estimate((1.0, 1.0, 1.0), 0.5)
 
     def test_bad_inputs(self):
-        with pytest.raises(BadDomain, match="need positive frequencies and epsilon"):
-            peres_estimate((1.0, -1.0), 0.5)
+        with pytest.raises(BadDomain, match="need positive gaps"):
+            peres_estimate((1.0, 1.0, 2.0), 0.5)  # a zero gap to the lowest level
+
+    @pytest.mark.parametrize("estimate", [peres_estimate, bhattacharyya_estimate])
+    def test_gaps_to_the_lowest_level(self, estimate):
+        """Neither the zero of energy nor the order of the levels moves an
+        estimate: both are built from the gaps to the lowest level."""
+        value = estimate((0.0, 1.0, 2.5), 0.3)
+        assert estimate((5.0, 6.0, 7.5), 0.3) == value
+        assert estimate((1.0, 0.0, 2.5), 0.3) == value
+        assert estimate((2.5, 1.0, 0.0), 0.3) == value
 
     @pytest.mark.parametrize("estimate", [peres_estimate, bhattacharyya_estimate])
     @pytest.mark.parametrize(

@@ -58,6 +58,9 @@ class TestBounds:
         assert out["lower_mt"] == pytest.approx(2.0 * eps, rel=1e-12)
         assert out["upper_product"] == pytest.approx(4.0 * math.pi**2 / eps, rel=1e-12)
         assert out["estimates"]["note"] == "order-of-magnitude estimates, not bounds"
+        # one gap of frequency 1/(2 pi): both estimates are its period
+        for name in ("peres", "bhattacharyya"):
+            assert out["estimates"][name] == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_estimate_errors_leave_the_bracket(self, tmp_path, capsys):
         # hbar = 1e-310 makes E/(2 pi hbar) overflow: the estimates refuse
@@ -648,6 +651,7 @@ def test_non_finite_state_gives_an_error_json(state, tmp_path, capsys):
 
 QUBIT_DIAGONAL = {"energies": [0.0, 1.0], "state": {"diagonal": [0.5, 0.5]}}
 CYCLE1 = {"points": [0], "dist": [[0.0]], "measure": [1.0], "permutation": [0]}
+SWAP2 = {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]], "permutation": [1, 0]}
 
 
 @pytest.mark.parametrize(
@@ -657,6 +661,20 @@ CYCLE1 = {"points": [0], "dist": [[0.0]], "measure": [1.0], "permutation": [0]}
         ("--input", {**QUBIT_DIAGONAL, "hbar": [1]}, "BadParameter", "hbar"),
         ("--input", {**QUBIT_DIAGONAL, "state": 5}, "BadParameter", "state"),
         ("--input", {**QUBIT_DIAGONAL, "state": {"gibbs": 3}}, "BadParameter", "state"),
+        ("--input", {**QUBIT_DIAGONAL, "energies": ["a", 1]}, "BadParameter", "energies"),
+        (
+            "--input",
+            {**QUBIT_DIAGONAL, "state": {"diagonal": ["x", 0.5]}},
+            "BadParameter",
+            "state.diagonal",
+        ),
+        (
+            "--input",
+            {**QUBIT_DIAGONAL, "state": {"pure": [[1, 0], [0]]}},
+            "BadParameter",
+            "state.pure",
+        ),
+        ("--input", {**QUBIT_DIAGONAL, "state": {"matrix": "abc"}}, "BadParameter", "state.matrix"),
         (
             "--metric-space",
             {"points": 5, "dist": [[0.0]], "measure": [1.0], "permutation": [0]},
@@ -677,14 +695,18 @@ CYCLE1 = {"points": [0], "dist": [[0.0]], "measure": [1.0], "permutation": [0]}
             "BadDomain",
             "dist",
         ),
+        ("--metric-space", {**SWAP2, "measure": [math.inf, math.inf]}, "BadDomain", "measure"),
+        ("--metric-space", {**SWAP2, "measure": [1e308, 1e308]}, "BadDomain", "measure"),
         *(
             ("--metric-space", {k: v for k, v in CYCLE1.items() if k != field}, "BadDomain", field)
             for field in CYCLE1
         ),
     ],
     ids=[
-        "hbar-null", "hbar-list", "state-number", "gibbs-number", "points-number", "perm-number",
-        "space-list", "dist-nan", "no-points", "no-dist", "no-measure", "no-permutation",
+        "hbar-null", "hbar-list", "state-number", "gibbs-number", "energies-string",
+        "diagonal-string", "pure-ragged", "matrix-string", "points-number", "perm-number",
+        "space-list", "dist-nan", "measure-inf", "measure-overflow", "no-points", "no-dist",
+        "no-measure", "no-permutation",
     ],
 )
 def test_malformed_input_file_gives_an_error_json(flag, spec, error, field, tmp_path, capsys):
@@ -806,7 +828,7 @@ TRUNCATE_KEYS = {
 )
 def test_report_key_sets(argv, keys, nested, qubit_json, mixed3_json, capsys):
     """The exact keys of each report, so a field added to or dropped from a
-    result dataclass shows up as a schema change."""
+    result record shows up as a schema change."""
     paths = {"QUBIT": qubit_json, "MIXED3": mixed3_json}
     code, out = run_json([paths.get(a, a) for a in argv], capsys)
     assert code == 0

@@ -10,7 +10,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qrecur
+from qrecur import (
+    DensityMatrix,
+    FiniteMetricSpace,
+    Grid,
+    Hamiltonian,
+    energy_bounds,
+    find_recurrence,
+    make_kernel,
+    metric_recurrence_oracle,
+    random_density,
+    stroboscopic_recurrence,
+    torus_from_state,
+    truncate,
+)
+from qrecur.errors import BadDomain, BadParameter
 
 
 def test_every_export_resolves_once():
@@ -21,11 +39,14 @@ def test_every_export_resolves_once():
 
 def test_import_loads_neither_scipy_nor_mpmath():
     """scipy is a test dependency only, and mpmath is loaded by the 40-digit
-    re-check alone, which must still work once it is."""
+    re-check alone, which must still work once it is. dataclasses stays
+    out too: generating the methods of frozen dataclasses at import cost
+    every CLI call about 11-16 ms."""
     src = str(Path(qrecur.__file__).resolve().parents[1])
     code = (
         "import sys, numpy as np, qrecur, qrecur.cli\n"
-        "assert 'scipy' not in sys.modules and 'mpmath' not in sys.modules, sys.modules.keys()\n"
+        "loaded = {'scipy', 'mpmath', 'dataclasses'} & sys.modules.keys()\n"
+        "assert not loaded, loaded\n"
         "w = np.array([[0.6], [0.8j]])\n"
         "f = abs(0.36 + 0.64 * np.exp(-0.3j))\n"
         "assert abs(qrecur.metrics.bures_hp(w, np.array([0.0, 1.0]), 1.0, 0.3) - (2 - 2 * f) ** 0.5) < 1e-14\n"
@@ -86,3 +107,71 @@ def test_readme_library_quick_start_finds_the_recurrence(capsys):
     assert abs(result.t_rec - 2.0 * math.pi) <= dt
     assert result.bracket_check["lower_ok"] and result.bracket_check["upper_ok"]
     assert capsys.readouterr().out.splitlines()[0] == repr(result.t_rec)
+
+
+def _records() -> list:
+    """One instance of each of the eleven record and value types, built
+    the way the library builds them."""
+    H = Hamiltonian([0.0, 1.0, 2.5])
+    rho = random_density(3, 7)
+    space = FiniteMetricSpace((0, 1), [[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
+    grid = Grid(0.0, 0.1, 200)
+    report = energy_bounds(H, rho, 0.1)
+    return [
+        H,
+        rho,
+        grid,
+        make_kernel(H, rho),
+        report,
+        find_recurrence(H, rho, 0.9, grid, report=report),
+        stroboscopic_recurrence(H, rho, 0.9, 1.0, jmax_cap=10),
+        truncate(rho, 2, order="population"),
+        torus_from_state(rho),
+        space,
+        metric_recurrence_oracle(space, [1, 0], 0, 1.0),
+    ]
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a is b or a == b
+
+
+def test_records_are_immutable_and_rebuild_from_their_fields():
+    """Each type: no attribute can be assigned, its arrays are read-only,
+    it rebuilds from its fields positionally and by keyword, and the
+    recurrence dict writes its Grid (a tuple, which the CLI would print as
+    a JSON list) as an object."""
+    records = _records()
+    assert len({type(obj) for obj in records}) == 11
+    for obj in records:
+        cls = type(obj)
+        if cls is DensityMatrix:
+            fields = {"matrix": obj.matrix, "_factor": obj.factor}
+        else:
+            fields = obj._asdict()
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, (cls.__name__, name)
+            if not name.startswith("_"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        for built in (cls(*fields.values()), cls(**fields)):
+            assert type(built) is cls
+            assert all(_same(getattr(built, k), v) for k, v in fields.items()), cls.__name__
+    assert records[5].to_dict()["grid"] == {"t0": 0.0, "dt": 0.1, "steps": 200}
+
+
+def test_validated_types_check_replace():
+    """_replace goes through the validating constructor, as
+    dataclasses.replace did."""
+    H, rho, grid = _records()[:3]
+    with pytest.raises(BadParameter):
+        H._replace(hbar=-1.0)
+    with pytest.raises(BadParameter):
+        grid._replace(steps=2.5)
+    with pytest.raises(BadDomain):
+        torus_from_state(rho)._replace(radii=[0.0])
+    assert grid._replace(steps=3) == Grid(0.0, 0.1, 3)
+
