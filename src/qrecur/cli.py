@@ -241,12 +241,7 @@ def _cmd_geometry(args) -> int:
         if "permutation" not in spec:
             raise BadDomain("permutation is missing from the metric space")
         res = metric_recurrence_oracle(space, spec["permutation"], args.point, args.r)
-        out["metric_recurrence"] = {
-            "n_rec": res.n_rec,
-            "bound": res.bound,
-            "ok": res.ok,
-            "ball_convention": "open, radius r/2",
-        }
+        out["metric_recurrence"] = {**res._asdict(), "ball_convention": "open, radius r/2"}
     if not out:
         print("nothing to do: pass --ball/--tube/--state/--metric-space", file=sys.stderr)
         return 2

@@ -160,11 +160,10 @@ class StroboscopicResult(NamedTuple):
 
 
 def default_dt(H: Hamiltonian) -> float:
-    """Grid step tied to the fastest Bohr frequency: pi*hbar/(4*max|dE|)."""
+    """Grid step tied to the fastest Bohr frequency: pi*hbar/(4*max|dE|),
+    or pi*hbar/4 when all energies are equal."""
     spread = float(H.energies.max() - H.energies.min())
-    if spread == 0.0:
-        return math.pi * H.hbar / 4.0
-    return math.pi * H.hbar / (4.0 * spread)
+    return math.pi * H.hbar / (4.0 * (spread or 1.0))
 
 
 def sample_bytes(n: int, r: int) -> int:

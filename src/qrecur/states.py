@@ -229,11 +229,12 @@ def _number(name: str, value) -> float:
 
 
 def _array(name: str, value, dtype=float) -> np.ndarray:
-    """value as an array, else BadParameter naming the field."""
-    try:
-        return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:  # a string or a ragged list
-        raise BadParameter(f"{name} must be an array of numbers: {exc}") from None
+    """value as an array whose entries pass _number's test, else
+    BadParameter naming the field."""
+    entries = np.asarray(value, dtype=object)  # holds any JSON value, ragged lists too
+    for v in entries.flat:  # a string, bool, null or sub-list of a ragged list fails
+        _number(f"{name} entry", v)
+    return entries.astype(dtype)
 
 
 def system_from_dict(spec: dict) -> tuple[Hamiltonian, DensityMatrix]:

@@ -24,7 +24,7 @@ from .errors import (
     NotMeasurePreserving,
     ZeroPopulation,
 )
-from .states import DensityMatrix, Hamiltonian, _validated_make
+from .states import DensityMatrix, Hamiltonian, _array, _validated_make
 
 METRIC_TOL = 1e-12
 
@@ -197,8 +197,8 @@ class FiniteMetricSpace(_FiniteMetricSpaceFields):
             raise BadDomain(f"points must be a list, got {spec['points']!r}")
         return cls(
             points=tuple(spec["points"]),
-            dist=np.asarray(spec["dist"], dtype=float),
-            measure=np.asarray(spec["measure"], dtype=float),
+            dist=_array("dist", spec["dist"]),
+            measure=_array("measure", spec["measure"]),
         )
 
 
@@ -239,11 +239,10 @@ def metric_recurrence_oracle(
     if ball_mu <= 0.0:
         raise BallEmpty(f"open ball of radius {r / 2.0} around point {p} is empty")
     bound = space.total_measure / ball_mu
-    cap = math.ceil(bound)
     q = p
-    for k in range(1, cap + 1):
+    for k in range(1, m + 1):  # the orbit of p is back at p within m steps
         q = int(perm[q])
         if d[p, q] <= r:
             return OracleResult(n_rec=k, bound=bound, ok=k <= bound)
-    # unreachable if the implementation is correct: the ceiling is a theorem
-    return OracleResult(n_rec=cap + 1, bound=bound, ok=False)
+    # reached only if d[p, p] > r, which METRIC_TOL allows for r below 1e-12
+    return OracleResult(n_rec=m + 1, bound=bound, ok=False)

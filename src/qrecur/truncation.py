@@ -28,17 +28,9 @@ class TruncationResult(NamedTuple):
     permutation: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "delta_N": self.delta_N,
-            "P_N": self.P_N,
-            "complement_hs_sq": self.complement_hs_sq,
-            "kept_indices": list(self.kept_indices),
-            "permutation": list(self.permutation) if self.permutation else None,
-            "sigma_tilde": [
-                [[z.real, z.imag] for z in row] for row in self.sigma_tilde.matrix
-            ],
-        }
+        # the CLI writes the index tuples as JSON lists
+        pairs = [[[z.real, z.imag] for z in row] for row in self.sigma_tilde.matrix]
+        return {**self._asdict(), "sigma_tilde": pairs}
 
 
 def truncate(rho0: DensityMatrix, N: int, order: str = "energy") -> TruncationResult:

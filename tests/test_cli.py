@@ -481,6 +481,14 @@ class TestTruncate:
         assert code == 0
         assert out["N"] == 2
 
+    def test_population_order_prints_index_lists(self, tmp_path, capsys):
+        path = tmp_path / "unsorted3.json"
+        path.write_text(json.dumps({"energies": [0, 1, 2], "state": {"diagonal": [0.2, 0.5, 0.3]}}))
+        argv = ["truncate", "--input", str(path), "--delta-target", "0.05", "--order", "population"]
+        code, out = run_json(argv, capsys)
+        assert code == 0
+        assert out["kept_indices"] == [1, 2] and out["permutation"] == [1, 2, 0]
+
     def test_with_bounds(self, mixed3_json, capsys):
         code, out = run_json(
             [
@@ -600,6 +608,16 @@ class TestGeometry:
         assert out["error"] == "BadDomain"
         assert out["message"].startswith("permutation entries must be integers")
 
+    def test_metric_space_weights_whose_ratio_overflows(self, tmp_path, capsys):
+        # mu(M) / mu(B) = 1e300 / 1e-10 is inf; the walk is bounded by the orbit
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({**SWAP2, "measure": [1e300, 1e-10], "permutation": [0, 1]}))
+        argv = ["geometry", "--metric-space", str(path), "--point", "1", "--r", "0.5"]
+        code, out = run_json(argv, capsys)
+        assert code == 0
+        rec = out["metric_recurrence"]
+        assert rec["n_rec"] == 1 and rec["bound"] == "inf" and rec["ok"] is True
+
     def test_no_arguments(self, capsys):
         assert main(["geometry"]) == 2
 
@@ -675,6 +693,13 @@ SWAP2 = {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]], "permutation": [1, 
             "state.pure",
         ),
         ("--input", {**QUBIT_DIAGONAL, "state": {"matrix": "abc"}}, "BadParameter", "state.matrix"),
+        ("--input", {**QUBIT_DIAGONAL, "energies": ["1", 2]}, "BadParameter", "energies"),
+        (
+            "--input",
+            {**QUBIT_DIAGONAL, "state": {"diagonal": [True, False]}},
+            "BadParameter",
+            "state.diagonal",
+        ),
         (
             "--metric-space",
             {"points": 5, "dist": [[0.0]], "measure": [1.0], "permutation": [0]},
@@ -697,6 +722,13 @@ SWAP2 = {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]], "permutation": [1, 
         ),
         ("--metric-space", {**SWAP2, "measure": [math.inf, math.inf]}, "BadDomain", "measure"),
         ("--metric-space", {**SWAP2, "measure": [1e308, 1e308]}, "BadDomain", "measure"),
+        (
+            "--metric-space",
+            {**SWAP2, "dist": [["a", 1], [1, 0]], "measure": [1, 1]},
+            "BadParameter",
+            "dist",
+        ),
+        ("--metric-space", {**SWAP2, "measure": [1, [1]]}, "BadParameter", "measure"),
         *(
             ("--metric-space", {k: v for k, v in CYCLE1.items() if k != field}, "BadDomain", field)
             for field in CYCLE1
@@ -704,9 +736,10 @@ SWAP2 = {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]], "permutation": [1, 
     ],
     ids=[
         "hbar-null", "hbar-list", "state-number", "gibbs-number", "energies-string",
-        "diagonal-string", "pure-ragged", "matrix-string", "points-number", "perm-number",
-        "space-list", "dist-nan", "measure-inf", "measure-overflow", "no-points", "no-dist",
-        "no-measure", "no-permutation",
+        "diagonal-string", "pure-ragged", "matrix-string", "energies-numeric-string",
+        "diagonal-bool", "points-number", "perm-number", "space-list", "dist-nan", "measure-inf",
+        "measure-overflow", "dist-string", "measure-ragged", "no-points", "no-dist", "no-measure",
+        "no-permutation",
     ],
 )
 def test_malformed_input_file_gives_an_error_json(flag, spec, error, field, tmp_path, capsys):

@@ -67,6 +67,11 @@ class TestDefaultDt:
         H = Hamiltonian(np.array([0.0, 2.0]), hbar=3.0)
         assert default_dt(H) == pytest.approx(3.0 * math.pi / 8.0)
 
+    @pytest.mark.parametrize("hbar", [1.0, 3.0])
+    @pytest.mark.parametrize("energies", [[0.7], [2.5, 2.5, 2.5]], ids=["one-level", "equal"])
+    def test_zero_spread_gives_a_quarter_of_pi_hbar(self, energies, hbar):
+        assert default_dt(Hamiltonian(np.array(energies), hbar=hbar)) == math.pi * hbar / 4
+
 
 class TestFidelitySeries:
     def test_matches_qubit_closed_form(self):

@@ -347,6 +347,63 @@ class TestMetricOracle:
         with pytest.raises(BadDomain, match="integers"):
             metric_recurrence_oracle(cycle_space(2), perm, 0, 1.0)
 
+    def test_weights_whose_ratio_overflows(self):
+        # mu(M) / mu(B) = 1e300 / 1e-10 is inf; the walk is bounded by the orbit
+        s = FiniteMetricSpace(
+            points=(0, 1),
+            dist=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            measure=np.array([1e300, 1e-10]),
+        )
+        assert metric_recurrence_oracle(s, [0, 1], 1, 0.5) == (1, math.inf, True)
+
+    def test_orbit_that_never_comes_within_r(self):
+        # d[0, 0] = 5e-13 passes METRIC_TOL but exceeds r; point 1 fills the ball
+        s = FiniteMetricSpace(
+            points=(0, 1), dist=np.array([[5e-13, 0.0], [0.0, 5e-13]]), measure=np.ones(2)
+        )
+        assert metric_recurrence_oracle(s, [0, 1], 0, 1e-13) == (3, 2.0, False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        r=st.floats(0.1, 13.0),
+    )
+    def test_random_permutations_match_a_brute_force_walk(self, m, seed, r):
+        # each cycle of the permutation is a circle of unit steps, 6 away
+        # from every other cycle, and carries one weight from 1e-10 to 1e300,
+        # so that mu(M) / mu(B) overflows to inf in some draws
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(m)
+        cycle, position, length = np.zeros(m, int), np.zeros(m, int), np.zeros(m, int)
+        seen = set()
+        for start in range(m):
+            if start in seen:
+                continue
+            orbit = [start]
+            while perm[orbit[-1]] != start:
+                orbit.append(int(perm[orbit[-1]]))
+            for k, i in enumerate(orbit):
+                cycle[i], position[i], length[i] = start, k, len(orbit)
+            seen.update(orbit)
+        gap = np.abs(position[:, None] - position[None, :])
+        dist = np.where(
+            cycle[:, None] == cycle[None, :], np.minimum(gap, length[:, None] - gap), 6
+        ).astype(float)
+        weight = 10.0 ** rng.choice([-10.0, -3.0, 0.0, 7.0, 150.0, 300.0], size=m)
+        s = FiniteMetricSpace(points=tuple(range(m)), dist=dist, measure=weight[cycle])
+        p = int(rng.integers(m))
+        P = np.eye(m, dtype=int)[perm]  # P @ e_i = e_perm^-1(i); P.T maps i to perm[i]
+        expected = next(
+            k for k in range(1, m + 1)
+            if dist[p, np.linalg.matrix_power(P.T, k)[:, p].argmax()] <= r
+        )
+        res = metric_recurrence_oracle(s, perm, p, r)
+        assert res.n_rec == expected
+        # the ceiling holds up to the rounding of the summed weights (which
+        # can leave an integer ratio one ulp low, and ok False)
+        assert res.n_rec <= res.bound * (1.0 + 1e-12)
+
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(3, 12), shift=st.integers(1, 11), r=st.floats(0.5, 3.0))
     def test_cycle_rotations_respect_bound(self, m, shift, r):
