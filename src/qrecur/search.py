@@ -65,7 +65,7 @@ from .bounds import SUPPORT_TOL, BoundReport, dimension_bound
 from .errors import BadParameter, GridTooCoarse
 from .evolution import CHUNK_START, EvolutionKernel, chunk_bounds, chunk_cap, is_stationary
 from .evolution import make_kernel
-from .metrics import bures_from_fidelity, bures_hp, energy_stats, hs_norm, trace_norm
+from .metrics import bures_from_fidelity, bures_hp, energy_stats, trace_norm
 from .states import DensityMatrix, Hamiltonian, _validated_make
 from .torus import (
     torus_distance_series,
@@ -567,6 +567,16 @@ def find_recurrence(
     )
 
 
+def _hs_norms(a: np.ndarray) -> np.ndarray:
+    """metrics.hs_norm of each matrix a[k], to the last bit: np.linalg.norm
+    takes re.re + im.im over the flattened entries as two dot products,
+    and a stacked (T, 1, m) @ (T, m, 1) product takes the same ones, where
+    a sum over axes (1, 2) would round differently."""
+    flat = a.reshape(a.shape[0], 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
 def collect_samples(
     H: Hamiltonian, rho0: DensityMatrix, times: np.ndarray
 ) -> Iterator[dict[str, np.ndarray | None]]:
@@ -590,8 +600,7 @@ def collect_samples(
             "fidelity": f,
             "bures": bures_from_fidelity(f),
             "trace_dist": trace_norm(diff),
-            # one norm per matrix: norm over axes (1, 2) rounds differently
-            "hs_dist": np.array([hs_norm(d) for d in diff]),
+            "hs_dist": _hs_norms(diff),
             "torus_dist": None
             if torus is None
             else torus_distance_series(torus, torus_phase_at(H, lam, ts)),

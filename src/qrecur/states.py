@@ -225,7 +225,12 @@ def _number(name: str, value) -> float:
     """value as a float if it is a JSON number, else BadParameter naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadParameter(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise BadParameter(
+            f"{name} must lie within the float range, got an integer of {value.bit_length()} bits"
+        ) from None
 
 
 def _array(name: str, value, dtype=float) -> np.ndarray:

@@ -202,6 +202,14 @@ class FiniteMetricSpace(_FiniteMetricSpaceFields):
         )
 
 
+def _exact_sum(weights: np.ndarray) -> int:
+    """The exact sum of float weights, in units of 2**-1074, the least
+    positive float: every finite float is a whole number of them."""
+    # n / d with d a power of two up to 2**1074: n << (1074 - log2 d) units
+    ratios = map(float.as_integer_ratio, weights.tolist())
+    return sum(n << (1075 - d.bit_length()) for n, d in ratios)
+
+
 class OracleResult(NamedTuple):
     n_rec: int
     bound: float
@@ -216,7 +224,9 @@ def metric_recurrence_oracle(
     Finds the smallest k >= 1 with dist(p, T^k(p)) <= r and compares it
     against the measure-ratio ceiling mu(M)/mu(B_{r/2}(p)), where the
     ball is OPEN (strict d < r/2) -- with discrete spaces the convention
-    matters.
+    matters. Both measures are exact sums of the weights: ok is
+    k mu(B) <= mu(M) exactly, and bound is mu(M)/mu(B) correctly rounded
+    (inf past the float range).
     """
     if not r > 0:
         raise BadDomain("need r > 0")
@@ -235,14 +245,20 @@ def metric_recurrence_oracle(
         raise NotIsometry("permutation does not preserve distances")
     if np.abs(space.measure[perm] - space.measure).max() > METRIC_TOL:
         raise NotMeasurePreserving("permutation does not preserve the measure")
-    ball_mu = float(space.measure[d[p] < r / 2.0].sum())
-    if ball_mu <= 0.0:
+    # exact sums: float sums can round an integral mu(M)/mu(B) one ulp low,
+    # and a k equal to it would then fail the ceiling it meets
+    ball_mu = _exact_sum(space.measure[d[p] < r / 2.0])
+    if not ball_mu:
         raise BallEmpty(f"open ball of radius {r / 2.0} around point {p} is empty")
-    bound = space.total_measure / ball_mu
+    total = _exact_sum(space.measure)
+    try:
+        bound = total / ball_mu  # int / int: correctly rounded
+    except OverflowError:  # weights far apart, such as 1e300 and 1e-10
+        bound = math.inf
     q = p
     for k in range(1, m + 1):  # the orbit of p is back at p within m steps
         q = int(perm[q])
         if d[p, q] <= r:
-            return OracleResult(n_rec=k, bound=bound, ok=k <= bound)
+            return OracleResult(n_rec=k, bound=bound, ok=k * ball_mu <= total)
     # reached only if d[p, p] > r, which METRIC_TOL allows for r below 1e-12
     return OracleResult(n_rec=m + 1, bound=bound, ok=False)

@@ -436,7 +436,14 @@ ALL_SUITES = {
 
 
 def run_suites(names=None, seed: int = 42) -> dict:
-    """Run the named suites (default: all); seed flows to the random ones."""
+    """Run the named suites (default: all); seed flows to the random ones.
+    An unknown name is refused before any suite runs."""
+    unknown = sorted(set(names or ()) - ALL_SUITES.keys())
+    if unknown:
+        raise BadParameter(
+            f"unknown suite {', '.join(map(repr, unknown))}; the suites are "
+            + ", ".join(ALL_SUITES)
+        )
     results = {}
     for name, fn in ALL_SUITES.items():
         if names and name not in names:

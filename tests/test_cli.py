@@ -11,6 +11,7 @@ import pytest
 
 from qrecur import bounds, evolution, verify
 from qrecur.cli import MAX_AUTO_SAMPLES, _load_system, _resolve_grid, main
+from qrecur.errors import BadParameter
 from qrecur.evolution import evolve, make_kernel
 from qrecur.metrics import bures_from_fidelity, hs_norm, trace_distance_norm
 from qrecur.search import Grid, fidelity_series
@@ -299,12 +300,14 @@ def run_cli_bounded(argv, timeout=30.0):
     return proc.returncode, json.loads(proc.stdout)
 
 
-def _csv_system(kind: str) -> dict:
-    """A 5-level system: a pure state, a full-rank mixed state, or a pure
-    state with a zero population (no torus distance)."""
+def _csv_system(kind: str, n: int = 5) -> dict:
+    """An n-level system: a pure state, a full-rank mixed state, a pure
+    state with a zero population (no torus distance), or a pure state on
+    an integer-spaced spectrum, as the cli benchmark's search system."""
     rng = np.random.default_rng(3)
-    n = 5
     energies = np.sort(rng.uniform(0.0, 2.0, n)).tolist()
+    if kind == "integer_spaced":
+        energies = (1.3 * np.arange(n)).tolist()
     if kind == "full_rank":
         w = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         m = w @ w.conj().T
@@ -322,18 +325,28 @@ def _csv_system(kind: str) -> dict:
 class TestCsvColumns:
     """Every search --csv column against its definition, one row at a time."""
 
-    @pytest.mark.parametrize("kind", ["pure", "full_rank", "zero_population"])
-    def test_columns_equal_per_row_values(self, kind, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "kind, n, grid_argv",
+        [
+            pytest.param(kind, 5, ["--dt", "0.1", "--horizon", "70"], id=kind)
+            for kind in ("pure", "full_rank", "zero_population")
+        ]
+        # 2,048 steps of the default dt = pi / (4 * 1.3 * 7): chunks of 256, 512, 1024, 256
+        + [pytest.param("integer_spaced", 8, ["--horizon", repr(2048 * math.pi / 36.4)], id="pure_n8")],
+    )
+    def test_columns_equal_per_row_values(self, kind, n, grid_argv, tmp_path, capsys):
         path, csv_path = tmp_path / "system.json", tmp_path / "series.csv"
-        path.write_text(json.dumps(_csv_system(kind)))
+        path.write_text(json.dumps(_csv_system(kind, n)))
         code, out = run_json(
-            ["search", "--input", str(path), "--threshold", "0.9", "--dt", "0.1",
-             "--horizon", "70", "--csv", str(csv_path)],
+            ["search", "--input", str(path), "--threshold", "0.9", *grid_argv,
+             "--csv", str(csv_path)],
             capsys,
         )
         assert code == 0
         grid = Grid(**out["grid"])
         assert grid.steps > evolution.CHUNK_START  # at least two chunks
+        if kind == "integer_spaced":
+            assert grid.steps > 3 * evolution.CHUNK_START  # at least three chunks
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "fidelity", "bures", "trace_dist", "hs_dist", "torus_dist"]
@@ -646,6 +659,18 @@ class TestVerify:
         monkeypatch.setitem(verify.ALL_SUITES, "local_seed", local_seed_suite)
         assert verify.run_suites({"local_seed"}, seed=3) == {"local_seed": {"ok": True}, "ok": True}
 
+    def test_unknown_suite_is_refused_before_any_suite_runs(self, monkeypatch, capsys):
+        # an unknown name used to run nothing and report {"ok": true}
+        monkeypatch.setitem(verify.ALL_SUITES, "fvg", lambda: pytest.fail("a suite ran"))
+        with pytest.raises(BadParameter, match="unknown suite 'nope'"):
+            verify.run_suites({"nope"})
+        with pytest.raises(BadParameter, match="unknown suite 'nope'"):
+            verify.run_suites({"fvg", "nope"})
+        code, out = run_json(["verify", "--suite", "nope"], capsys)
+        assert code == 1
+        assert out["error"] == "BadParameter"
+        assert all(name in out["message"] for name in verify.ALL_SUITES)
+
 
 @pytest.mark.parametrize(
     "state",
@@ -694,6 +719,8 @@ SWAP2 = {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]], "permutation": [1, 
         ),
         ("--input", {**QUBIT_DIAGONAL, "state": {"matrix": "abc"}}, "BadParameter", "state.matrix"),
         ("--input", {**QUBIT_DIAGONAL, "energies": ["1", 2]}, "BadParameter", "energies"),
+        ("--input", {**QUBIT_DIAGONAL, "energies": [0, 10**400]}, "BadParameter", "energies"),
+        ("--input", {**QUBIT_DIAGONAL, "hbar": 10**400}, "BadParameter", "hbar"),
         (
             "--input",
             {**QUBIT_DIAGONAL, "state": {"diagonal": [True, False]}},
@@ -737,6 +764,7 @@ SWAP2 = {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]], "permutation": [1, 
     ids=[
         "hbar-null", "hbar-list", "state-number", "gibbs-number", "energies-string",
         "diagonal-string", "pure-ragged", "matrix-string", "energies-numeric-string",
+        "energies-past-float-range", "hbar-past-float-range",
         "diagonal-bool", "points-number", "perm-number", "space-list", "dist-nan", "measure-inf",
         "measure-overflow", "dist-string", "measure-ragged", "no-points", "no-dist", "no-measure",
         "no-permutation",

@@ -41,11 +41,12 @@ def test_import_loads_neither_scipy_nor_mpmath():
     """scipy is a test dependency only, and mpmath is loaded by the 40-digit
     re-check alone, which must still work once it is. dataclasses stays
     out too: generating the methods of frozen dataclasses at import cost
-    every CLI call about 11-16 ms."""
+    every CLI call about 11-16 ms. So does qrecur.verify, which only
+    `qrecur verify` runs."""
     src = str(Path(qrecur.__file__).resolve().parents[1])
     code = (
         "import sys, numpy as np, qrecur, qrecur.cli\n"
-        "loaded = {'scipy', 'mpmath', 'dataclasses'} & sys.modules.keys()\n"
+        "loaded = {'scipy', 'mpmath', 'dataclasses', 'qrecur.verify'} & sys.modules.keys()\n"
         "assert not loaded, loaded\n"
         "w = np.array([[0.6], [0.8j]])\n"
         "f = abs(0.36 + 0.64 * np.exp(-0.3j))\n"
@@ -55,6 +56,33 @@ def test_import_loads_neither_scipy_nor_mpmath():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_verify_subcommand_loads_the_verify_suites(tmp_path):
+    """Importing qrecur.verify costs a CLI call about 6 ms; every other
+    subcommand runs without it."""
+    (tmp_path / "qubit.json").write_text(
+        '{"energies": [0.0, 1.0], "state": '
+        '{"pure": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}}'
+    )
+    code = (
+        "import sys, qrecur.cli\n"
+        "for argv in (\n"
+        "    'bounds --input qubit.json --threshold 0.999',\n"
+        "    'search --input qubit.json --threshold 0.999 --horizon 7.0 --csv series.csv',\n"
+        "    'strobe --input qubit.json --epsilon 0.9 --t 6.283185307179586',\n"
+        "    'truncate --input qubit.json --N 1',\n"
+        "    'geometry --ball 3 1.5707963267948966 --state qubit.json',\n"
+        "):\n"
+        "    assert qrecur.cli.main(argv.split()) == 0, argv\n"
+        "assert 'qrecur.verify' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qrecur.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "series.csv").read_text().startswith("t,fidelity,bures,")
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -356,6 +356,14 @@ class TestMetricOracle:
         )
         assert metric_recurrence_oracle(s, [0, 1], 1, 0.5) == (1, math.inf, True)
 
+    def test_integral_ratio_that_float_sums_round_low(self):
+        # mu(M) / mu(B) = 3 exactly, but the float sum of the three weights
+        # over one of them gives 2.9999999999999996, and k = 3 failed it
+        w = 503.26000805300043
+        s = FiniteMetricSpace(points=(0, 1, 2), dist=1.0 - np.eye(3), measure=np.full(3, w))
+        assert float(s.measure.sum()) / w < 3.0
+        assert metric_recurrence_oracle(s, [1, 2, 0], 0, 0.5) == (3, 3.0, True)
+
     def test_orbit_that_never_comes_within_r(self):
         # d[0, 0] = 5e-13 passes METRIC_TOL but exceeds r; point 1 fills the ball
         s = FiniteMetricSpace(
@@ -400,9 +408,8 @@ class TestMetricOracle:
         )
         res = metric_recurrence_oracle(s, perm, p, r)
         assert res.n_rec == expected
-        # the ceiling holds up to the rounding of the summed weights (which
-        # can leave an integer ratio one ulp low, and ok False)
-        assert res.n_rec <= res.bound * (1.0 + 1e-12)
+        # exact sums: the ceiling holds, and so it does for the rounded ratio
+        assert res.ok and res.n_rec <= res.bound
 
     @settings(max_examples=20, deadline=None)
     @given(m=st.integers(3, 12), shift=st.integers(1, 11), r=st.floats(0.5, 3.0))
