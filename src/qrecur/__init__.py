@@ -30,7 +30,6 @@ from .search import (
     fidelity_series,
     find_recurrence,
     stroboscopic_recurrence,
-    torus_surrogate_scan,
 )
 from .states import (
     DensityMatrix,
@@ -97,7 +96,6 @@ __all__ = [
     "torus_distance",
     "torus_from_state",
     "torus_phase_at",
-    "torus_surrogate_scan",
     "torus_volume",
     "trace_distance_norm",
     "truncate",

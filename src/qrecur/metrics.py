@@ -35,22 +35,6 @@ def bures_from_fidelity(f):
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.asarray(f)))
 
 
-def bures_hp(w: np.ndarray, energies: np.ndarray, hbar: float, t: float) -> float:
-    """Bures distance between rho = W W^dag / tr(W^dag W) and rho(t) from
-    F = ||W^dag U(t) W||_1 / tr(W^dag W), the scan's formula for the Gram
-    factor W = rho0.factor, at 40 working digits: near F = 1,
-    sqrt(2 - 2F) turns float64 noise into ~1e-8. The exact trace removes
-    the O(eps) trace defect of the float64 entries."""
-    import mpmath as mp  # loaded here only: nothing else in the package needs it
-
-    with mp.workdps(40):
-        wm = mp.matrix([[mp.mpc(complex(z)) for z in row] for row in w])
-        u = mp.diag([mp.expj(-mp.mpf(e) * mp.mpf(t) / mp.mpf(hbar)) for e in energies])
-        sv = mp.svd_c(wm.H * u * wm, compute_uv=False)
-        trace = mp.fsum(abs(z) ** 2 for z in wm)
-        return float(mp.sqrt(max(2 - 2 * mp.fsum(sv) / trace, 0)))
-
-
 def trace_norm(a: np.ndarray) -> np.ndarray:
     """Trace norm, sum |eigenvalues|, of each Hermitian matrix a[..., :, :]."""
     try:

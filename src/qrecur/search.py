@@ -7,9 +7,9 @@ scan that ends early pays for few samples and no chunk outgrows the
 budget. Per sample the kernel needs n phases, one r x n by n x r product
 and one r x r nuclear norm, with r the rank of rho0 and W its Gram
 factor, which the state carries from its constructor (see
-`fidelity_series`). The torus surrogate walks the same chunks with the
-torus distance in place of F, and `collect_samples` builds the CSV
-distance columns from them a chunk at a time.
+`fidelity_series`). `collect_samples` builds the CSV distance columns
+in the same chunks, and `bures_series` turns F into the Bures distance,
+exact to float64 near a return as well (see NEAR_RETURN).
 
 Given a threshold, `scan` skips the samples it can prove below
 threshold - SLACK, in three steps:
@@ -65,7 +65,7 @@ from .bounds import SUPPORT_TOL, BoundReport, dimension_bound
 from .errors import BadParameter, GridTooCoarse
 from .evolution import CHUNK_START, EvolutionKernel, chunk_bounds, chunk_cap, is_stationary
 from .evolution import make_kernel
-from .metrics import bures_from_fidelity, bures_hp, energy_stats, trace_norm
+from .metrics import bures_from_fidelity, energy_stats, trace_norm
 from .states import DensityMatrix, Hamiltonian, _validated_make
 from .torus import (
     torus_distance_series,
@@ -96,6 +96,10 @@ SIEVE_PAIRS = 16  # level pairs the window sieve intersects at most
 # about 6% slower
 SIEVE_POINTWISE = 512
 SIEVE_BYTES = 128  # peak temporary bytes per window while the sieve intersects
+# 1 - F below which bures_series takes the purification form: F carries
+# about 1e-16 of rounding, which sqrt(2 - 2F) turns into about 1e-8, and
+# above the cut it is within about 1e-12 relative
+NEAR_RETURN = 1e-4
 
 
 def _g_rounding(n: int) -> float:
@@ -200,6 +204,41 @@ def fidelity_series(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
             m = w.conj().T @ (u[:, :, None] * w)
             out[lo : lo + ts.size] = np.linalg.svd(m, compute_uv=False).sum(axis=1)
     return np.clip(out, 0.0, 1.0)
+
+
+def near_bytes(n: int, r: int) -> int:
+    """Temporary bytes per sample of bures_series' purification form, held
+    in rows of n complex phases and in n x r and r x r complex matrices
+    (U(t) W, M(t), its SVD factors, V and the products with W); measured
+    peaks are 0.5 to 0.85 of it."""
+    return 64 * (n + r * (n + r))
+
+
+def bures_series(kernel: EvolutionKernel, times: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Bures distance between rho0 and rho(t) for every t, from
+    f = fidelity_series(kernel, times).
+
+    sqrt(2 - 2F), except where 1 - F < NEAR_RETURN: there it is the
+    distance between the purifications W and U(t) W V, d_B =
+    ||W - U(t) W V||_F, with V = Q P^dag for the SVD P S Q^dag of
+    M(t) = W^dag U(t) W, the unitary that attains ||M||_1 = F. Written as
+    W (I - V) - (U - I) W V, with u_k - 1 = 2i sin(a_k/2) e^(i a_k/2) for
+    the phase angles a_k, the difference carries an absolute error of a
+    few eps, and no square root of 1 - F amplifies it. The near samples
+    go in the chunks of chunk_bounds, at near_bytes each.
+    """
+    d = bures_from_fidelity(f)
+    near = np.flatnonzero(1.0 - f < NEAR_RETURN)
+    w, r = kernel.factor, kernel.rank
+    for lo, hi in chunk_bounds(near.size, chunk_cap(near_bytes(kernel.dim, r))):
+        ts = times[near[lo:hi]]
+        half = np.multiply.outer(ts, -0.5 * kernel.levels)  # a_k / 2, as in kernel.phases
+        u_minus_1 = 2j * np.sin(half) * np.exp(1j * half)
+        p, _, qh = np.linalg.svd(w.conj().T @ (kernel.phases(ts)[:, :, None] * w))
+        v = (p @ qh).conj().transpose(0, 2, 1)  # Q P^dag
+        gap = w @ (np.eye(r) - v) - u_minus_1[:, :, None] * (w @ v)
+        d[near[lo:hi]] = np.sqrt((gap.real**2 + gap.imag**2).sum(axis=(1, 2)))
+    return d
 
 
 _COUNTS = ("samples_evaluated", "samples_sieved", "chunks")  # kept by scan
@@ -585,22 +624,26 @@ def collect_samples(
     hs_dist, torus_dist) to an array over the chunk; torus_dist is None
     when a population is <= SUPPORT_TOL. The trace distances come from
     one stacked eigvalsh per chunk, of about 80 n^2 + 40 n bytes per
-    time, so memory stays within CHUNK_BYTES."""
+    time, so memory stays within CHUNK_BYTES; bures_series, called first,
+    walks the samples near a return within it as well."""
     kernel = make_kernel(H, rho0)
     torus = torus_from_state(rho0) if np.all(rho0.populations > SUPPORT_TOL) else None
     lam, _ = energy_stats(H, rho0)
     for lo, hi in chunk_bounds(times.size, chunk_cap(40 * H.dim * (2 * H.dim + 1))):
         ts = times[lo:hi]
         f = fidelity_series(kernel, ts)
+        bures = bures_series(kernel, ts, f)
         u = kernel.phases(ts)
         # rho(t) - rho0 in evolve's operand order: swapped, the product rounds differently
         diff = rho0.matrix * (u[:, :, None] * u.conj()[:, None, :]) - rho0.matrix
+        trace_dist, hs_dist = trace_norm(diff), _hs_norms(diff)
+        del u, diff  # not held through the next chunk's bures_series
         yield {
             "t": ts,
             "fidelity": f,
-            "bures": bures_from_fidelity(f),
-            "trace_dist": trace_norm(diff),
-            "hs_dist": _hs_norms(diff),
+            "bures": bures,
+            "trace_dist": trace_dist,
+            "hs_dist": hs_dist,
             "torus_dist": None
             if torus is None
             else torus_distance_series(torus, torus_phase_at(H, lam, ts)),
@@ -639,36 +682,3 @@ def stroboscopic_recurrence(
         j_found=j_found, jmax_theory=jmax, cap=cap, cap_exceeded=j_found is None and cap < jmax,
         diagnostics=counts,
     )
-
-
-def torus_surrogate_scan(
-    H: Hamiltonian, rho0: DensityMatrix, r: float, grid: Grid
-) -> tuple[float | None, bool]:
-    """First grid time after departure at which the torus distance is back
-    within r.
-
-    Returns (t, bures_ok): by the submersion inequality, the Bures
-    distance at the returned time is <= r as well; bures_ok records the
-    explicit check, re-done at 40 digits where float64 flags it. The
-    distances are scanned in the chunk schedule of the fidelity scan; at
-    its peak a sample holds up to five float rows of n angles (40 n bytes).
-    """
-    if not r > 0:
-        raise BadParameter("need r > 0")
-    torus = torus_from_state(rho0)
-    lam, _ = energy_stats(H, rho0)
-    blocks = (
-        (lo, hi, torus_distance_series(torus, torus_phase_at(H, lam, grid.times(lo, hi))))
-        for lo, hi in chunk_bounds(grid.steps, chunk_cap(40 * torus.dim))
-    )
-    dep, rec = _first_crossing(blocks, lambda d: d <= r)
-    if dep is None:
-        # never leaves the ball: the very first sample is a recurrence witness
-        return float(grid.times(0, 1)[0]), True
-    if rec is None:
-        return None, True
-    t = grid.times(rec, rec + 1)
-    bures = float(bures_from_fidelity(fidelity_series(make_kernel(H, rho0), t)[0]))
-    if bures > r + 1e-9:  # float64 noise near F = 1; re-check at 40 digits
-        bures = bures_hp(rho0.factor, H.energies, H.hbar, float(t[0]))
-    return float(t[0]), bures <= r + 1e-9

@@ -4,8 +4,10 @@ recurrence oracle for volume-preserving isometries.
 The phases of a state's coherences live on a product of circles whose
 radii are the square roots of the populations; distances on that torus
 dominate the Bures distance between the evolved state and the initial
-one (Riemannian-submersion inequality), which is what makes the torus a
-useful surrogate for recurrence searches.
+one (Riemannian-submersion inequality), so a return of the state within
+a Bures radius r follows from a return of its phases within r on the
+torus. The verification suites check the inequality on every sample of
+their scans, against search.bures_series.
 """
 
 from __future__ import annotations
@@ -183,10 +185,6 @@ class FiniteMetricSpace(_FiniteMetricSpaceFields):
     @property
     def size(self) -> int:
         return len(self.points)
-
-    @property
-    def total_measure(self) -> float:
-        return float(self.measure.sum())
 
     @classmethod
     def from_dict(cls, spec: dict) -> "FiniteMetricSpace":

@@ -3,7 +3,9 @@
 Every suite returns a dict with an "ok" flag plus enough detail to
 diagnose a failure. The oracles here (Simpson quadrature, gamma product
 recursions, Monte Carlo cap volumes, brute-force scans) deliberately
-avoid the code paths they check.
+avoid the code paths they check. The submersion check compares the
+torus distance with search.bures_series, whose purification form is
+exact to a few eps near a return, so no suite needs extended precision.
 """
 
 from __future__ import annotations
@@ -75,33 +77,23 @@ def monte_carlo_cap_volume(n: int, r: float, samples: int, seed: int) -> float:
 
 class _SubmersionCheck:
     """Per-chunk check on a fidelity scan: tracks the largest excess of the
-    Bures distance over the torus distance (the submersion inequality
-    says it is <= 0).
+    Bures distance, search.bures_series, over the torus distance (the
+    submersion inequality says it is <= 0). Near a return bures_series is
+    exact to a few eps, so the excess stays at that size there too."""
 
-    float64 fidelity noise inflates near-zero Bures distances by
-    ~sqrt(eps), so samples that look like violations are re-checked with
-    metrics.bures_hp, the scan's fidelity formula at 40 digits. At t = 0,
-    where rho(0) = rho0, the exact Bures distance 0 is used instead.
-    """
-
-    def __init__(self, H, rho0):
-        self.H, self.w = H, rho0.factor
-        self.lam, _ = metrics.energy_stats(H, rho0)
-        self.torus = torus_from_state(rho0)
+    def __init__(self, H, kernel):
+        self.H, self.kernel = H, kernel
+        self.lam, _ = metrics.energy_stats(H, kernel.rho0)
+        self.torus = torus_from_state(kernel.rho0)
         self.excess = -math.inf
 
     def watch(self, blocks, grid):
         """Pass the (lo, hi, F) blocks of an exhaustive grid scan through, checking each."""
         for lo, hi, f in blocks:
             times = grid.times(lo, hi)
-            bures = metrics.bures_from_fidelity(f)
+            bures = search.bures_series(self.kernel, times, f)
             tdist = torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
-            start = times == 0.0
-            if start.any():
-                self.excess = max(self.excess, float((0.0 - tdist[start]).max()))
-            for j in np.flatnonzero((bures > tdist + 1e-9) & ~start):
-                hp = metrics.bures_hp(self.w, self.H.energies, self.H.hbar, float(times[j]))
-                self.excess = max(self.excess, hp - float(tdist[j]))
+            self.excess = max(self.excess, float((bures - tdist).max()))
             yield lo, hi, f
 
 
@@ -169,7 +161,7 @@ def bracket_ensemble_suite(
             continue
         checked += 1
         kernel = make_kernel(H, rho0)
-        submersion = _SubmersionCheck(H, rho0)
+        submersion = _SubmersionCheck(H, kernel)
         grid = Grid(0.0, dt, steps)
         dep_idx, rec_idx = search._first_crossing(
             submersion.watch(search.scan(kernel, grid), grid),

@@ -122,14 +122,14 @@ def test_criterion_07_metric_recurrence():
 
 def test_criterion_08_submersion_inequality(ensemble):
     # ensemble grids (criterion 2) accumulate the worst Bures-minus-torus
-    # excess, re-checked at 40 digits when float64 flags a sample
+    # excess, with Bures distances exact near a return
     ens_ok = ensemble["submersion_excess"] <= 1e-9
-    # criterion-1 grid, through the same check: float64 flags, 40-digit re-check
+    # criterion-1 grid, through the same check
     H = qubit_hamiltonian(1.0)
-    rho0 = pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    check = verify._SubmersionCheck(H, rho0)
+    kernel = make_kernel(H, pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0)))
+    check = verify._SubmersionCheck(H, kernel)
     grid = Grid(0.0, default_dt(H), 64)
-    for _ in check.watch(search.scan(make_kernel(H, rho0), grid), grid):
+    for _ in check.watch(search.scan(kernel, grid), grid):
         pass
     qubit_excess = check.excess
     ok = ens_ok and qubit_excess <= 1e-9

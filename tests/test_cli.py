@@ -9,12 +9,13 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import bures_hp
 from qrecur import bounds, evolution, verify
 from qrecur.cli import MAX_AUTO_SAMPLES, _load_system, _resolve_grid, main
 from qrecur.errors import BadParameter
 from qrecur.evolution import evolve, make_kernel
-from qrecur.metrics import bures_from_fidelity, hs_norm, trace_distance_norm
-from qrecur.search import Grid, fidelity_series
+from qrecur.metrics import hs_norm, trace_distance_norm
+from qrecur.search import NEAR_RETURN, Grid, bures_series, fidelity_series
 from qrecur.torus import torus_distance_series, torus_from_state, torus_phase_at
 
 
@@ -358,7 +359,16 @@ class TestCsvColumns:
         kernel = make_kernel(H, rho0)
         f_ref = fidelity_series(kernel, times)
         assert [float(v) for v in f] == f_ref.tolist()
-        assert [float(v) for v in bures] == bures_from_fidelity(f_ref).tolist()
+        bures_ref = bures_series(kernel, times, f_ref)
+        assert [float(v) for v in bures] == bures_ref.tolist()
+        # the near rows against 40 digits, up to the rounding of the phases
+        # t l_k by eps t max|l_k|
+        near = np.flatnonzero(1.0 - f_ref < NEAR_RETURN)
+        assert near.size > 0
+        phase_eps = np.finfo(float).eps * np.abs(kernel.levels).max()
+        for j in near:
+            hp = bures_hp(rho0.factor, H.energies, H.hbar, times[j])
+            assert abs(bures_ref[j] - hp) <= 1e-14 + 2.0 * phase_eps * times[j]
         trace_ref, hs_ref = [], []
         for ti in times:
             rho_t = evolve(kernel, ti)
@@ -376,6 +386,21 @@ class TestCsvColumns:
                 for ti in times
             ]
             assert [float(v) for v in torus] == torus_ref
+
+
+def test_search_csv_bures_is_exact_near_t0(qubit_json, tmp_path, capsys):
+    # 2 sin(t/4) at t = 1e-9; sqrt(2 - 2F) printed 0.0 there
+    csv_path = tmp_path / "series.csv"
+    code, _ = run_json(
+        ["search", "--input", qubit_json, "--threshold", "0.999", "--horizon", "7.0",
+         "--t0", "1e-9", "--csv", str(csv_path)],
+        capsys,
+    )
+    assert code == 0
+    with open(csv_path, newline="") as fh:
+        first = next(csv.DictReader(fh))
+    assert float(first["t"]) == 1e-9
+    assert abs(float(first["bures"]) - 5e-10) <= 1e-15
 
 
 def test_search_csv_factors_the_state_once(tmp_path, capsys, monkeypatch):

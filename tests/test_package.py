@@ -38,24 +38,55 @@ def test_every_export_resolves_once():
 
 
 def test_import_loads_neither_scipy_nor_mpmath():
-    """scipy is a test dependency only, and mpmath is loaded by the 40-digit
-    re-check alone, which must still work once it is. dataclasses stays
-    out too: generating the methods of frozen dataclasses at import cost
+    """scipy and mpmath are test dependencies only. dataclasses stays out
+    too: generating the methods of frozen dataclasses at import cost
     every CLI call about 11-16 ms. So does qrecur.verify, which only
     `qrecur verify` runs."""
     src = str(Path(qrecur.__file__).resolve().parents[1])
     code = (
-        "import sys, numpy as np, qrecur, qrecur.cli\n"
+        "import sys, qrecur, qrecur.cli\n"
         "loaded = {'scipy', 'mpmath', 'dataclasses', 'qrecur.verify'} & sys.modules.keys()\n"
         "assert not loaded, loaded\n"
-        "w = np.array([[0.6], [0.8j]])\n"
-        "f = abs(0.36 + 0.64 * np.exp(-0.3j))\n"
-        "assert abs(qrecur.metrics.bures_hp(w, np.array([0.0, 1.0]), 1.0, 0.3) - (2 - 2 * f) ** 0.5) < 1e-14\n"
-        "assert 'mpmath' in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_call_needs_mpmath(tmp_path):
+    """With mpmath made unimportable, every verify suite passes, search
+    --csv writes its rows, and the submersion check runs over exact
+    revivals, where sqrt(2 - 2F) alone would flag ~3e-8 excesses."""
+    (tmp_path / "qubit.json").write_text(
+        '{"energies": [0.0, 1.0], "state": '
+        '{"pure": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}}'
+    )
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None  # any import of mpmath raises ImportError\n"
+        "import numpy as np, qrecur.cli\n"
+        "from qrecur import Hamiltonian, make_kernel, validate_density, verify\n"
+        "from qrecur.search import Grid, default_dt, scan\n"
+        "assert qrecur.cli.main(['verify', '--suite', 'all', '--seed', '42']) == 0\n"
+        "argv = 'search --input qubit.json --threshold 0.999 --horizon 7.0 --csv series.csv'\n"
+        "assert qrecur.cli.main(argv.split()) == 0\n"
+        "for energies, rho in (\n"
+        "    ([0.0, 4.0], np.full((2, 2), 0.5)),\n"
+        "    ([0.0, 1.0, 2.0, 3.0], 0.6 * np.full((4, 4), 0.25) + 0.1 * np.eye(4)),\n"
+        "):\n"
+        "    H = Hamiltonian(np.array(energies))\n"
+        "    kernel = make_kernel(H, validate_density(rho.astype(complex)))\n"
+        "    check, grid = verify._SubmersionCheck(H, kernel), Grid(0.0, default_dt(H), 4000)\n"
+        "    for _ in check.watch(scan(kernel, grid), grid):\n"
+        "        pass\n"
+        "    assert check.excess <= 1e-13, check.excess\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qrecur.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "series.csv").read_text().startswith("t,fidelity,bures,")
 
 
 def test_only_the_verify_subcommand_loads_the_verify_suites(tmp_path):

@@ -18,9 +18,6 @@ from qrecur import (
     pure_state,
     random_density,
     search,
-    torus_from_state,
-    torus_phase_at,
-    torus_surrogate_scan,
     validate_density,
     verify,
 )
@@ -34,7 +31,6 @@ from qrecur.search import (
     sample_bytes,
     scan,
 )
-from qrecur.torus import torus_distance_series
 
 
 def _pure_system(n, seed):
@@ -170,36 +166,32 @@ class TestChunkSchedule:
         # the output and its clipped copy come on top of the chunk budget
         assert peak <= budget + 2 * times.nbytes + 64 * 1024
 
-    def test_torus_surrogate_peak_within_budget(self, monkeypatch):
-        budget = 2**20
-        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", budget)
-        H = Hamiltonian(np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 8)))
-        rho0 = random_density(8, 3)
-        grid = Grid(0.0, default_dt(H), 200_000)
-        tracemalloc.start()
-        try:
-            t, _ = torus_surrogate_scan(H, rho0, 0.05, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert t is None  # no return: every chunk of the grid was scanned
-        assert peak <= budget + 64 * 1024
-
     def test_collect_samples_peak_within_budget(self, monkeypatch):
-        # the rows of qrecur search --csv; 5.95 MB when they came as one list
+        # the rows of qrecur search --csv; 5.95 MB when they came as one list.
+        # In the slow state every row is near a return, so each takes
+        # bures_series' purification form: 1.71 MB when its temporaries
+        # were not walked in chunks of their own
         budget = 2**20
         monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", budget)
         H = Hamiltonian(np.sort(np.random.default_rng(8).uniform(0.0, 1.0, 8)))
-        rho0 = random_density(8, 4)
-        times = Grid(0.0, default_dt(H), 20_000).times()
-        tracemalloc.start()
-        try:
-            rows = sum(block["t"].size for block in search.collect_samples(H, rho0, times))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rows == times.size
-        assert peak <= budget + 2 * times.nbytes + 64 * 1024
+        slow = Hamiltonian(np.sort(np.random.default_rng(12).uniform(0.0, 1.0, 12)) * 1e-4)
+        cases = [
+            (H, random_density(8, 4), Grid(0.0, default_dt(H), 20_000).times()),
+            (slow, random_density(12, 5), np.linspace(0.0, 1.0, 20_000)),
+        ]
+        for H, rho0, times in cases:
+            tracemalloc.start()
+            try:
+                rows = near = 0
+                for block in search.collect_samples(H, rho0, times):
+                    rows += block["t"].size
+                    near += int(np.count_nonzero(1.0 - block["fidelity"] < search.NEAR_RETURN))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rows == times.size
+            assert H is not slow or near == rows
+            assert peak <= budget + 2 * times.nbytes + 64 * 1024
 
     def test_monte_carlo_cap_volume_peak_within_budget(self):
         # one block of 2,000,000 x (n + 1) normals took 32 MB per 1,000,000
@@ -241,14 +233,20 @@ class TestChunkSchedule:
         # the CSV columns
         blocks = [b["t"].size for b in search.collect_samples(H, rho0, grid.times(0, 500))]
         within_cap(blocks, 40 * n * (2 * n + 1))
-        # the torus surrogate's walk, one distance row per sample
-        rows = []
-        distances = search.torus_distance_series
-        monkeypatch.setattr(
-            search, "torus_distance_series", lambda t, a: rows.append(len(a)) or distances(t, a)
-        )
-        torus_surrogate_scan(H, rho0, 0.05, grid)
-        within_cap(rows, 40 * n)
+        # the purification form of bures_series, one phase row per sample;
+        # every sample of a state this slow is near a return
+        kernel = make_kernel(Hamiltonian(H.energies * 1e-4), rho0)
+        times = grid.times(0, 500)
+        f = fidelity_series(kernel, times)
+        rows, phases = [], qrecur.evolution.EvolutionKernel.phases
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                qrecur.evolution.EvolutionKernel, "phases",
+                lambda k, t: rows.append(len(t)) or phases(k, t),
+            )
+            search.bures_series(kernel, times, f)
+        assert sum(rows) == times.size
+        within_cap(rows, search.near_bytes(n, n))
         # the Monte Carlo draws, whose volume does not depend on the blocks
         draws, make_rng = [], np.random.default_rng
 
@@ -930,57 +928,3 @@ class TestWalk:
                 break
         assert res.diagnostics == counts
         assert counts["chunks"] >= 1 and counts["samples_evaluated"] >= 1
-
-
-class TestTorusSurrogateOnChunkBoundaries:
-    """The torus distance of the equal qubit superposition is |wrap(t/2)|
-    (mean energy 1/2): it grows from 0 and comes back at t = 4 pi, so a
-    radius between two neighbouring samples puts a crossing on a chosen
-    index."""
-
-    def setup_method(self):
-        self.H = Hamiltonian(np.array([0.0, 1.0]))
-        self.rho0 = pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
-        self.torus = torus_from_state(self.rho0)
-        self.lam = float(self.H.energies @ self.rho0.populations)
-
-    def _distances(self, times):
-        return torus_distance_series(self.torus, torus_phase_at(self.H, self.lam, times))
-
-    def _radius_between(self, grid, index):
-        d = self._distances(grid.times(index - 1, index + 1))
-        return (d[0] + d[1]) / 2.0
-
-    def _check(self, grid, r, monkeypatch):
-        seen = []
-
-        def recording(torus, thetas):
-            seen.append(torus_distance_series(torus, thetas))
-            return seen[-1]
-
-        monkeypatch.setattr(search, "torus_distance_series", recording)
-        t, bures_ok = torus_surrogate_scan(self.H, self.rho0, r, grid)
-        whole = self._distances(grid.times())
-        expected = _brute_force(whole <= r)
-        # the chunks carry the whole-grid values bit for bit, and the scan
-        # stops in the chunk of the return
-        streamed = np.concatenate(seen)
-        assert np.array_equal(streamed, whole[: streamed.size])
-        los = np.cumsum([0] + [d.size for d in seen[:-1]])
-        chunks = [(lo, lo + d.size, d) for lo, d in zip(los, seen)]
-        assert _first_crossing(chunks, lambda d: d <= r) == expected
-        assert los[-1] <= expected[1] < streamed.size
-        assert t == grid.times()[expected[1]] and bures_ok
-        return expected
-
-    @pytest.mark.parametrize("index", [255, 256, 257, 767, 768])
-    def test_departure_on_boundary(self, index, monkeypatch):
-        grid = Grid(0.0, 1.0 / (index + 0.5), 13 * (index + 1))
-        dep, _ = self._check(grid, self._radius_between(grid, index), monkeypatch)
-        assert dep == index
-
-    @pytest.mark.parametrize("index", [255, 256, 257, 767, 768])
-    def test_return_on_boundary(self, index, monkeypatch):
-        grid = Grid(0.0, 4.0 * math.pi / (index + 3.5), index + 50)
-        dep, rec = self._check(grid, self._radius_between(grid, index), monkeypatch)
-        assert rec == index and dep < index

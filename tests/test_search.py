@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state, random_system
+from conftest import bures_hp, random_state, random_system
 from qrecur import (
     Grid,
     Hamiltonian,
     default_dt,
     energy_bounds,
-    evolve,
-    fidelity,
     fidelity_series,
     find_recurrence,
     gibbs_state,
@@ -20,13 +18,11 @@ from qrecur import (
     pure_state,
     search,
     stroboscopic_recurrence,
-    torus_surrogate_scan,
     validate_density,
 )
 from qrecur.bounds import dimension_bound, threshold_to_epsilon
 from qrecur.errors import BadParameter, GridTooCoarse
-from qrecur.metrics import bures_from_fidelity
-from qrecur.search import MAX_AUTO_SAMPLES
+from qrecur.search import MAX_AUTO_SAMPLES, NEAR_RETURN, bures_series
 
 
 def qubit():
@@ -290,54 +286,38 @@ class TestStroboscopic:
             stroboscopic_recurrence(H, rho0, 1.0, 0.37, jmax_cap=cap)
 
 
-class TestTorusSurrogate:
-    def test_qubit_surrogate_is_exact_witness(self):
+class TestBuresSeries:
+    def test_qubit_near_its_return(self):
+        # exact: 0; |fl(2 pi) - 2 pi| / 2 = 1.2e-16; 2 sin(t/4) = 5.0e-10.
+        # sqrt(2 - 2F) gave 2.1e-8 at all three
         H, rho0 = qubit()
-        dt = default_dt(H)
-        grid = Grid(0.0, dt, math.ceil(14.0 / dt))
-        r = math.sqrt(2.0 - 2.0 * 0.999)
-        t_surr, bures_ok = torus_surrogate_scan(H, rho0, r, grid)
-        assert bures_ok
-        # with the mean-energy gauge the torus itself only closes up at 4 pi
-        # (at 2 pi both phases sit at the antipode, which projects to rho0
-        # but is far on the torus), so the surrogate witness is one full
-        # torus period -- still an exact recurrence of the state
-        assert t_surr == pytest.approx(4.0 * math.pi, abs=dt / 2.0)
-        f = fidelity_series(make_kernel(H, rho0), np.array([t_surr]))[0]
-        assert f >= 0.999
+        kernel = make_kernel(H, rho0)
+        times = np.array([0.0, 2.0 * math.pi, 1e-9])
+        d = bures_series(kernel, times, fidelity_series(kernel, times))
+        assert d[0] == 0.0
+        assert 0.0 <= d[1] <= 2e-16
+        assert abs(d[2] - 5e-10) <= 1e-15
 
-    def test_single_level_support_never_moves(self):
-        # one-dimensional support: the mean-energy gauge freezes the phase,
-        # so the very first grid sample is the recurrence witness
-        H = Hamiltonian(np.array([0.7]))
-        rho0 = validate_density(np.array([[1.0 + 0.0j]]))
-        t_surr, bures_ok = torus_surrogate_scan(H, rho0, 0.5, Grid(0.3, 0.1, 100))
-        assert t_surr == pytest.approx(0.3)
-        assert bures_ok
-
-    @pytest.mark.parametrize("energies", [[0.0, 4.0], [0.0, 1.2], [1.4, 2.1]])
-    def test_float64_noise_at_the_return_is_no_violation(self, energies):
-        # the torus returns to ~1e-15 while float64 puts Bures at ~3e-8,
-        # above r = 1e-8; the 40-digit re-check shows Bures <= r
-        H = Hamiltonian(np.array(energies))
-        rho0 = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        t_surr, bures_ok = torus_surrogate_scan(H, rho0, 1e-8, Grid(0.0, default_dt(H), 400))
-        assert t_surr is not None and t_surr > 0.0
-        assert bures_ok
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 200))
-    def test_surrogate_never_beats_exact(self, seed):
-        # the torus distance dominates Bures, so whenever the torus is back
-        # within r the true state is too
-        H, rho0 = random_system(3, seed)
-        dt = default_dt(H)
-        grid = Grid(0.0, dt, 2000)
-        t_surr, bures_ok = torus_surrogate_scan(H, rho0, 0.4, grid)
-        assert bures_ok
-        if t_surr is not None and t_surr > 0.0:
-            d = bures_from_fidelity(fidelity(rho0, evolve(make_kernel(H, rho0), t_surr)))
-            assert d <= 0.4 + 1e-9
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_matches_40_digits(self, kind, seed):
+        n = (2, 4, 6)[seed]
+        H, rho0 = random_system(n, seed)
+        if kind == "pure":
+            rng = np.random.default_rng(seed)
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            rho0 = pure_state(psi / np.linalg.norm(psi))
+        kernel = make_kernel(H, rho0)
+        times = np.concatenate([[0.0, 1e-9, 1e-6, 1e-4, 1e-3], np.linspace(0.01, 0.3, 8)])
+        f = fidelity_series(kernel, times)
+        d = bures_series(kernel, times, f)
+        ref = np.array([bures_hp(rho0.factor, H.energies, H.hbar, t) for t in times])
+        near = 1.0 - f < NEAR_RETURN
+        assert near.sum() >= 4 and (~near).sum() >= 4
+        # near a return, a few eps; elsewhere sqrt(2 - 2F) turns an error
+        # of 1e-14 in F into 1e-14 / d in d
+        assert np.all(np.abs(d - ref)[near] <= 1e-14)
+        assert np.all((np.abs(d - ref) * ref)[~near] <= 1e-14)
 
 
 class TestLipschitzContinuity:
