@@ -18,7 +18,6 @@ from .metrics import (
     energy_stats,
     fidelity,
     fvg_check,
-    hs_norm,
     trace_distance_norm,
 )
 from .search import (
@@ -46,7 +45,6 @@ from .torus import (
     injectivity_radius,
     metric_recurrence_oracle,
     sphere_ball_volume,
-    torus_distance,
     torus_from_state,
     torus_phase_at,
     torus_volume,
@@ -80,7 +78,6 @@ __all__ = [
     "find_recurrence",
     "fvg_check",
     "gibbs_state",
-    "hs_norm",
     "injectivity_radius",
     "make_kernel",
     "metric_recurrence_oracle",
@@ -93,7 +90,6 @@ __all__ = [
     "stroboscopic_recurrence",
     "system_from_dict",
     "threshold_to_epsilon",
-    "torus_distance",
     "torus_from_state",
     "torus_phase_at",
     "torus_volume",

@@ -145,7 +145,8 @@ def _cmd_search(args) -> int:
     out["epsilon"] = eps
     out["epsilon_convention"] = bounds.EPS_BURES_SCALE
     out["hbar"] = H.hbar
-    out["norms"] = {"bures": "from fidelity", "trace_dist": "trace", "hs_dist": "hilbert-schmidt"}
+    bures = f"sqrt(2 - 2F), the purification distance where 1 - F < {search.NEAR_RETURN!r}"
+    out["norms"] = {"bures": bures, "trace_dist": "trace", "hs_dist": "hilbert-schmidt"}
     if report is not None:
         out["bounds"] = report.to_dict()
     # opened before any output: a CSV path that cannot be written prints

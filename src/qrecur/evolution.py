@@ -78,6 +78,11 @@ class EvolutionKernel(NamedTuple):
         """exp(-i E_k t / hbar) up to a common phase, one row per time."""
         return np.exp(-1j * np.multiply.outer(times, self.levels))
 
+    def check_span(self, t_max: float) -> None:
+        """BadParameter unless every phase t l_k with |t| <= t_max is finite."""
+        if not math.isfinite(float(t_max) * float(np.abs(self.levels).max())):
+            raise BadParameter(f"phases (E_k - c) t/hbar are not finite for |t| up to {t_max!r}")
+
 
 def make_kernel(H: Hamiltonian, rho0: DensityMatrix) -> EvolutionKernel:
     if rho0.dim != H.dim:
@@ -115,7 +120,6 @@ def evolve(kernel: EvolutionKernel, t: float) -> DensityMatrix:
     """rho(t) with entries rho0[k, k'] * exp(i (E_k' - E_k) t / hbar), and
     its Gram factor diag(u) W for the phase row u: U(t) W W^dag U(t)^dag
     = rho(t), so no fidelity with it takes an eigendecomposition."""
-    if not np.isfinite(t):
-        raise BadParameter("t must be finite")
+    kernel.check_span(abs(float(t)))
     u = kernel.phases(float(t))
     return DensityMatrix(kernel.rho0.matrix * np.outer(u, u.conj()), u[:, None] * kernel.factor)

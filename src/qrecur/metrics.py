@@ -51,11 +51,6 @@ def trace_distance_norm(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(trace_norm(rho.matrix - sigma.matrix))
 
 
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def energy_stats(H: Hamiltonian, rho: DensityMatrix) -> tuple[float, float]:
     """Mean energy and energy uncertainty of rho (H diagonal by convention)."""
     if rho.dim != H.dim:

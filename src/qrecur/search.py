@@ -56,7 +56,7 @@ reports the first crossing there, read by the same rule.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -265,6 +265,8 @@ def scan(
     Without a threshold, or for a state that does not move, one run
     covers the grid: the chunks are those of chunk_bounds.
     """
+    # in Python floats, which overflow to inf with no numpy warning
+    kernel.check_span(abs(float(grid.t0)) + float(grid.dt) * float(grid.steps))
     counts = dict.fromkeys(_COUNTS, 0) if counts is None else counts
     cap = chunk_cap(sample_bytes(kernel.dim, kernel.rank))
     theta = kernel.speed * grid.dt
@@ -276,11 +278,11 @@ def scan(
     # chunk, so a scan that returns there builds no more windows
     run_lo, run_hi, end = np.array([start]), np.array([steps - 1]), steps
     if pairs:
-        (run_lo, run_hi), end = _torus_windows(pairs, start, start + 1, min(start + size, steps))
+        (run_lo, run_hi), end = _torus_windows(pairs, start, min(start + size, steps))
     lo = start
     while lo < steps:
         if lo == end:
-            (run_lo, run_hi), end = _torus_windows(pairs, end, end + 1, steps)
+            (run_lo, run_hi), end = _torus_windows(pairs, end, steps)
         i = int(np.searchsorted(run_hi, lo))  # the first run not over before lo
         survivor = max(int(run_lo[i]), lo) if i < run_hi.size else end
         if survivor > lo:  # settled: no sample of lo..survivor-1 survives
@@ -348,18 +350,18 @@ def _sieve_pairs(
 
 
 def _torus_windows(
-    pairs: list[tuple[float, float, float]], lo: int, need: int, stop: int
+    pairs: list[tuple[float, float, float]], lo: int, stop: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], int]:
     """((run_lo, run_hi), end): the sorted, disjoint runs
     run_lo[i]..run_hi[i] of grid indices in lo..end-1 that lie in a window
-    of every pair (see _sieve_pairs), with need <= end <= stop.
+    of every pair (see _sieve_pairs), with lo < end <= stop.
 
     The windows are intersected pair by pair as runs; once SIEVE_POINTWISE
     or fewer samples survive, the pairs left are tested on those samples
     at once (see _in_windows), and each sample kept is a run of its own.
     The windows of one pair may not outgrow CHUNK_BYTES: the block
     lo..end-1 is then cut before the first run that does not fit, down to
-    no less than lo..need-1, and where even that does not fit the
+    no less than sample lo alone, and where even that does not fit the
     intersection stops. Any subset of the pairs gives a sound, looser
     sieve.
     """
@@ -386,7 +388,7 @@ def _torus_windows(
             room = budget - (int(cum[i - 1]) if i else 0)
             last = (two_pi * (qa[i] + room - 1) - alpha) / phi
             cut = int(min(max(math.floor(last + delta / phi) + 1, run_lo[i]), run_hi[i] + 1))
-            if cut < need:
+            if cut <= lo:
                 break
             run_lo, run_hi, qa = run_lo[: i + 1], run_hi[: i + 1].copy(), qa[: i + 1]
             count = count[: i + 1].copy()
@@ -517,27 +519,26 @@ def _pruned_series(
 
 
 def _first_crossing(
-    blocks: Iterable[tuple[int, int, np.ndarray | None]],
-    inside: Callable[[np.ndarray], np.ndarray],
+    blocks: Iterable[tuple[int, int, np.ndarray | None]], threshold: float
 ) -> tuple[int | None, int | None]:
-    """Grid indices of the first departure (first sample not inside) and
-    of the first return after it (first later sample inside), read from
-    (lo, hi, values) blocks as scan yields them, where values None is a
-    settled range, all of it outside; stops consuming blocks at the
-    return."""
+    """Grid indices of the first departure (first sample with F below
+    threshold) and of the first return after it (first later sample with
+    F >= threshold), read from (lo, hi, F) blocks as scan yields them,
+    where F None is a settled range, all of it below; stops consuming
+    blocks at the return."""
     dep = None
-    for lo, _, values in blocks:
-        if values is None:  # a settled range: every sample is outside
+    for lo, _, f in blocks:
+        if f is None:  # a settled range: every sample is below
             if dep is None:
                 dep = lo
             continue
-        ok = inside(values)
+        ok = f >= threshold
         if dep is None:
             away = np.flatnonzero(~ok)
             if away.size == 0:
                 continue
             dep = lo + int(away[0])
-        # the departure sample itself is outside, so any hit is after it
+        # the departure sample itself is below, so any hit is after it
         first = max(dep, lo)
         back = np.flatnonzero(ok[first - lo :])
         if back.size:
@@ -578,15 +579,13 @@ def find_recurrence(
     floor = 1.0 - rho0.dim**2.5 * np.finfo(float).eps * float(np.abs(rho0.matrix).max())
     dep_idx = rec_idx = None
     if not (stationary and threshold < floor):
-        dep_idx, rec_idx = _first_crossing(
-            scan(kernel, grid, 0, threshold, counts), lambda f: f >= threshold
-        )
+        dep_idx, rec_idx = _first_crossing(scan(kernel, grid, 0, threshold, counts), threshold)
     times = []
     for side, i in enumerate((dep_idx, rec_idx)):
         t = None if i is None else grid.t0 + grid.dt * i
         if refine and i:  # the first crossing on the dt/1024 grid of the step up to t
             fine = Grid(t - grid.dt, grid.dt / 1024, 1024)
-            k = _first_crossing(scan(kernel, fine, 0, threshold), lambda f: f >= threshold)[side]
+            k = _first_crossing(scan(kernel, fine, 0, threshold), threshold)[side]
             t = t if k is None else fine.t0 + fine.dt * k
         times.append(t)
     t_dep, t_rec = times
@@ -607,7 +606,7 @@ def find_recurrence(
 
 
 def _hs_norms(a: np.ndarray) -> np.ndarray:
-    """metrics.hs_norm of each matrix a[k], to the last bit: np.linalg.norm
+    """np.linalg.norm of each matrix a[k], to the last bit: np.linalg.norm
     takes re.re + im.im over the flattened entries as two dot products,
     and a stacked (T, 1, m) @ (T, m, 1) product takes the same ones, where
     a sum over axes (1, 2) would round differently."""
@@ -627,6 +626,7 @@ def collect_samples(
     time, so memory stays within CHUNK_BYTES; bures_series, called first,
     walks the samples near a return within it as well."""
     kernel = make_kernel(H, rho0)
+    kernel.check_span(np.abs(times).max(initial=0.0))
     torus = torus_from_state(rho0) if np.all(rho0.populations > SUPPORT_TOL) else None
     lam, _ = energy_stats(H, rho0)
     for lo, hi in chunk_bounds(times.size, chunk_cap(40 * H.dim * (2 * H.dim + 1))):

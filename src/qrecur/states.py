@@ -181,31 +181,31 @@ def gibbs_state(H: Hamiltonian, beta: float) -> DensityMatrix:
     return DensityMatrix(np.diag(w / w.sum()).astype(complex))
 
 
-def qubit_hamiltonian(gap: float, hbar: float = 1.0) -> Hamiltonian:
+def qubit_hamiltonian(gap: float) -> Hamiltonian:
     if not gap > 0:
         raise BadParameter("gap must be positive")
-    return Hamiltonian(np.array([0.0, gap]), hbar)
+    return Hamiltonian(np.array([0.0, gap]))
 
 
-def oscillator_hamiltonian(omega: float, n: int, hbar: float = 1.0) -> Hamiltonian:
+def oscillator_hamiltonian(omega: float, n: int) -> Hamiltonian:
     if not (omega > 0 and n >= 1):
         raise BadParameter("need omega > 0 and n >= 1")
-    return Hamiltonian(hbar * omega * (np.arange(n) + 0.5), hbar)
+    return Hamiltonian(omega * (np.arange(n) + 0.5))
 
 
-def box_hamiltonian(scale: float, n: int, hbar: float = 1.0) -> Hamiltonian:
+def box_hamiltonian(scale: float, n: int) -> Hamiltonian:
     if not (scale > 0 and n >= 1):
         raise BadParameter("need scale > 0 and n >= 1")
-    return Hamiltonian(scale * np.arange(1, n + 1, dtype=float) ** 2, hbar)
+    return Hamiltonian(scale * np.arange(1, n + 1, dtype=float) ** 2)
 
 
-def random_hamiltonian(n: int, seed, hbar: float = 1.0) -> Hamiltonian:
+def random_hamiltonian(n: int, seed) -> Hamiltonian:
     """n sorted energies uniform on [0, 1); seed is taken as in
     random_density, so a Generator's stream continues."""
     if n < 1:
         raise BadParameter("need n >= 1")
     rng = np.random.default_rng(seed)
-    return Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=n)), hbar)
+    return Hamiltonian(np.sort(rng.uniform(0.0, 1.0, size=n)))
 
 
 def random_density(n: int, seed) -> DensityMatrix:

@@ -70,16 +70,9 @@ def wrap_angles(theta) -> np.ndarray:
     return np.where(w == -np.pi, np.pi, w)
 
 
-def torus_distance(torus: FlatTorus, theta) -> float:
-    """Geodesic distance from the origin: sqrt(sum r_j^2 * wrap(theta_j)^2)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (torus.dim,):
-        raise BadDomain(f"expected {torus.dim} angles, got {theta.shape}")
-    return float(torus_distance_series(torus, theta[None, :])[0])
-
-
 def torus_distance_series(torus: FlatTorus, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized torus_distance over rows of a (samples, n) angle array."""
+    """Geodesic distance from the origin, sqrt(sum r_j^2 * wrap(theta_j)^2),
+    of each row of a (samples, n) angle array."""
     w = wrap_angles(thetas)
     return np.sqrt((torus.radii[None, :] ** 2 * w**2).sum(axis=1))
 

@@ -73,10 +73,10 @@ def truncate(rho0: DensityMatrix, N: int, order: str = "energy") -> TruncationRe
 
 
 def choose_N(rho0: DensityMatrix, delta_target: float, order: str = "energy") -> int:
-    """Smallest N with delta_N <= delta_target (delta_n = 0, so always <= n)."""
+    """Smallest N with delta_N <= delta_target: n if no N < n has it, as delta_n = 0."""
     if not delta_target >= 0:
         raise BadN("delta_target must be non-negative")
-    for N in range(1, rho0.dim + 1):
+    for N in range(1, rho0.dim):
         try:
             if truncate(rho0, N, order=order).delta_N <= delta_target:
                 return N

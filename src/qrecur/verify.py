@@ -164,8 +164,7 @@ def bracket_ensemble_suite(
         submersion = _SubmersionCheck(H, kernel)
         grid = Grid(0.0, dt, steps)
         dep_idx, rec_idx = search._first_crossing(
-            submersion.watch(search.scan(kernel, grid), grid),
-            lambda f: f >= threshold,
+            submersion.watch(search.scan(kernel, grid), grid), threshold
         )
         submersion_excess = max(submersion_excess, submersion.excess)
         if dep_idx is None:
@@ -429,13 +428,15 @@ ALL_SUITES = {
 
 def run_suites(names=None, seed: int = 42) -> dict:
     """Run the named suites (default: all); seed flows to the random ones.
-    An unknown name is refused before any suite runs."""
+    An unknown name or a negative seed is refused before any suite runs."""
     unknown = sorted(set(names or ()) - ALL_SUITES.keys())
     if unknown:
         raise BadParameter(
             f"unknown suite {', '.join(map(repr, unknown))}; the suites are "
             + ", ".join(ALL_SUITES)
         )
+    if seed < 0:
+        raise BadParameter(f"seed must be >= 0, got {seed}")
     results = {}
     for name, fn in ALL_SUITES.items():
         if names and name not in names:

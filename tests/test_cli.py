@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qrecur import bounds, evolution, verify
 from qrecur.cli import MAX_AUTO_SAMPLES, _load_system, _resolve_grid, main
 from qrecur.errors import BadParameter
 from qrecur.evolution import evolve, make_kernel
-from qrecur.metrics import hs_norm, trace_distance_norm
+from qrecur.metrics import trace_distance_norm
 from qrecur.search import NEAR_RETURN, Grid, bures_series, fidelity_series
 from qrecur.torus import torus_distance_series, torus_from_state, torus_phase_at
 
@@ -373,7 +374,7 @@ class TestCsvColumns:
         for ti in times:
             rho_t = evolve(kernel, ti)
             trace_ref.append(trace_distance_norm(rho_t, rho0))
-            hs_ref.append(hs_norm(rho_t.matrix - rho0.matrix))
+            hs_ref.append(float(np.linalg.norm(rho_t.matrix - rho0.matrix)))
         assert [float(v) for v in trace] == trace_ref
         assert [float(v) for v in hs] == hs_ref
         if kind == "zero_population":
@@ -401,6 +402,43 @@ def test_search_csv_bures_is_exact_near_t0(qubit_json, tmp_path, capsys):
         first = next(csv.DictReader(fh))
     assert float(first["t"]) == 1e-9
     assert abs(float(first["bures"]) - 5e-10) <= 1e-15
+
+
+def test_search_labels_the_bures_column(qubit_json, capsys):
+    # it read "from fidelity", but near a return the column is the
+    # purification distance, not sqrt(2 - 2F)
+    code, out = run_json(
+        ["search", "--input", qubit_json, "--threshold", "0.999", "--horizon", "7.0"], capsys
+    )
+    assert code == 0
+    assert out["norms"] == {
+        "bures": "sqrt(2 - 2F), the purification distance where 1 - F < 0.0001",
+        "trace_dist": "trace",
+        "hs_dist": "hilbert-schmidt",
+    }
+
+
+@pytest.mark.parametrize(
+    "energies, argv",
+    [
+        ([0.0, 1.0], ["strobe", "--epsilon", "0.9", "--t", "1e308"]),
+        ([0.0, 10.0], ["search", "--threshold", "0.9", "--t0", "1e308", "--horizon", "1"]),
+    ],
+    ids=["strobe", "search"],
+)
+def test_overflowing_phases_give_an_error_json(energies, argv, tmp_path, capsys):
+    # both exited 0, after overflow warnings, with numbers read from NaN
+    # fidelities: j_found null and cap_exceeded true, or t_departure 1e308
+    # with no sample evaluated
+    path = tmp_path / "system.json"
+    s = 1.0 / math.sqrt(2.0)
+    path.write_text(json.dumps({"energies": energies, "state": {"pure": [[s, 0.0], [s, 0.0]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_json([argv[0], "--input", str(path), *argv[1:]], capsys)
+    assert code == 1
+    assert out["error"] == "BadParameter"
+    assert "not finite" in out["message"]
 
 
 def test_search_csv_factors_the_state_once(tmp_path, capsys, monkeypatch):
@@ -695,6 +733,18 @@ class TestVerify:
         assert code == 1
         assert out["error"] == "BadParameter"
         assert all(name in out["message"] for name in verify.ALL_SUITES)
+
+
+    def test_negative_seed_is_refused_before_any_suite_runs(self, monkeypatch, capsys):
+        # numpy refused it inside the first seeded suite, and the CLI
+        # exited 2 with "error: expected non-negative integer"
+        for name in verify.ALL_SUITES:
+            monkeypatch.setitem(verify.ALL_SUITES, name, lambda: pytest.fail("a suite ran"))
+        with pytest.raises(BadParameter, match="seed must be >= 0, got -1"):
+            verify.run_suites(None, seed=-1)
+        code, out = run_json(["verify", "--seed", "-1"], capsys)
+        assert code == 1
+        assert out == {"error": "BadParameter", "message": "seed must be >= 0, got -1"}
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,15 @@ def test_evolve_rejects_nonfinite_time(qubit_superposition):
         evolve(make_kernel(H, rho0), math.inf)
 
 
+def test_evolve_rejects_an_overflowing_phase():
+    # levels +-5: 1e308 overflows the phase arguments, 1e307 does not
+    rho0 = validate_density(np.full((2, 2), 0.5, dtype=complex))
+    kernel = make_kernel(Hamiltonian(np.array([0.0, 10.0])), rho0)
+    assert np.all(np.isfinite(evolve(kernel, -1e307).matrix))
+    with pytest.raises(BadParameter, match="not finite for \\|t\\| up to 1e\\+308"):
+        evolve(kernel, -1e308)
+
+
 def test_grid_full_qubit_period(qubit_superposition):
     H, rho0 = qubit_superposition
     k = make_kernel(H, rho0)

@@ -13,7 +13,6 @@ from qrecur import (
     evolve,
     fidelity,
     fvg_check,
-    hs_norm,
     make_kernel,
     pure_state,
     trace_distance_norm,
@@ -21,6 +20,7 @@ from qrecur import (
 )
 from qrecur.errors import DimensionMismatch
 from qrecur.metrics import bures_from_fidelity
+from qrecur.search import _hs_norms
 from qrecur.states import gram_factor
 
 
@@ -106,14 +106,18 @@ class TestTraceDistance:
 
 
 class TestHsNorm:
+    """The Hilbert-Schmidt norm of each matrix in a stack, as the CSV's
+    hs_dist column takes it."""
+
     def test_zero(self):
-        assert hs_norm(np.zeros((3, 3))) == 0.0
+        assert _hs_norms(np.zeros((1, 3, 3), dtype=complex)).tolist() == [0.0]
 
     def test_identity(self):
-        assert hs_norm(np.eye(2)) == pytest.approx(math.sqrt(2.0))
+        assert _hs_norms(np.eye(2, dtype=complex)[None])[0] == pytest.approx(math.sqrt(2.0))
 
     def test_pauli_x(self):
-        assert hs_norm([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(math.sqrt(2.0))
+        a = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]]])
+        assert _hs_norms(a) == pytest.approx([math.sqrt(2.0)] * 2)
 
 
 class TestEnergyStats:

@@ -323,7 +323,7 @@ class TestFirstCrossingOnChunkBoundaries:
 
     def _check(self, grid, threshold):
         expected = _brute_force(fidelity_series(self.kernel, grid.times()) >= threshold)
-        found = _first_crossing(self._scan(grid, threshold), lambda f: f >= threshold)
+        found = _first_crossing(self._scan(grid, threshold), threshold)
         assert found == expected
         return expected
 
@@ -354,7 +354,7 @@ class TestFirstCrossingOnChunkBoundaries:
                 seen.append(block[:2])
                 yield block
 
-        dep, rec = _first_crossing(blocks(), lambda f: f >= 0.9)
+        dep, rec = _first_crossing(blocks(), 0.9)
         # the blocks read tile 0..hi in order, and stop in the return's chunk
         los, his = zip(*seen)
         hi = his[-1]
@@ -384,7 +384,6 @@ class TestPrunedScan:
     @staticmethod
     def _crossings(H, rho0, threshold, grid):
         kernel = make_kernel(H, rho0)
-        inside = lambda f: f >= threshold  # noqa: E731
 
         def paired():
             # the blocks tile the grid; each is compared, by grid index,
@@ -406,8 +405,8 @@ class TestPrunedScan:
                 g, g_lo = g[hi - lo :], hi
                 yield lo, hi, f
 
-        found = _first_crossing(paired(), inside)
-        assert found == _first_crossing(scan(kernel, grid), inside)
+        found = _first_crossing(paired(), threshold)
+        assert found == _first_crossing(scan(kernel, grid), threshold)
         return found
 
     def test_bracket_ensemble_crossings_match_exhaustive(self):
@@ -557,7 +556,7 @@ def _sieved_samples(kernel, grid, threshold, start=0):
         kept[start:] = False
         lo = start
         while lo < grid.steps:
-            (run_lo, run_hi), lo = search._torus_windows(pairs, lo, lo + 1, grid.steps)
+            (run_lo, run_hi), lo = search._torus_windows(pairs, lo, grid.steps)
             for a, b in zip(run_lo, run_hi):
                 kept[a : b + 1] = True
     counts = dict.fromkeys(search._COUNTS, 0)
@@ -659,33 +658,34 @@ class TestTorusWindowSieve:
         assert res.diagnostics["samples_evaluated"] < 16
         assert res.diagnostics["samples_sieved"] > 16_384 - 16
 
-    @pytest.mark.parametrize("need, applied", [(1, 2), (700, 1), (5000, 0)])
-    def test_blocks_cut_to_the_budget_hold_exactly_the_windows(self, need, applied, monkeypatch):
-        # 100 windows fit and the first pair alone has about 800 on
-        # 0..9999: the block is cut after its 100th, then after the second
-        # pair's 100th unless that would end it before need; the windows
-        # are intersected as runs only, with no pointwise finish
-        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
-        monkeypatch.setattr(search, "SIEVE_POINTWISE", 0)
-        self._check_cut_block([(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)], need, applied)
-
-    @pytest.mark.parametrize("need, applied", [(1, 2), (700, 2), (5000, 0)])
-    def test_pointwise_finish_holds_exactly_the_windows_of_a_cut_block(
-        self, need, applied, monkeypatch
+    @pytest.mark.parametrize("windows, applied", [(100, 2), (1, 0)])
+    def test_blocks_cut_to_the_budget_hold_exactly_the_windows(
+        self, windows, applied, monkeypatch
     ):
-        # as above, but about 160 samples survive the first pair's 100
-        # windows, so the second pair is tested on them sample by sample
-        # and cuts nothing, whatever need is
+        # the first pair alone has about 800 windows on 0..9999. With room
+        # for 100, the block is cut after the first pair's 100th, then
+        # after the second pair's 100th. With room for 1, that one is the
+        # spare before sample 0: a cut there would leave no sample, so no
+        # pair is applied and nothing is cut. The windows are intersected
+        # as runs only, with no pointwise finish
+        monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", windows * search.SIEVE_BYTES)
+        monkeypatch.setattr(search, "SIEVE_POINTWISE", 0)
+        end = self._check_cut_block([(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)], applied)
+        assert (end == 10_000) == (applied == 0)
+
+    def test_pointwise_finish_holds_exactly_the_windows_of_a_cut_block(self, monkeypatch):
+        # as above with room for 100 windows, but about 160 samples survive
+        # the first pair's 100 windows, so the second pair is tested on
+        # them sample by sample and cuts nothing
         monkeypatch.setattr(qrecur.evolution, "CHUNK_BYTES", 100 * search.SIEVE_BYTES)
-        end = self._check_cut_block([(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)], need, applied)
-        assert end == (10_000 if applied == 0 else 1232)
+        assert self._check_cut_block([(0.4, 0.5, 0.3), (0.9, 1.3, -2.0)], 2) == 1232
 
     @staticmethod
-    def _check_cut_block(pairs, need, applied):
+    def _check_cut_block(pairs, applied):
         """The runs of a block cut to the budget are exactly the grid
         samples in a window of each of the first `applied` pairs."""
-        (lo, hi), end = search._torus_windows(pairs, 0, need, 10_000)
-        assert need <= end <= 10_000
+        (lo, hi), end = search._torus_windows(pairs, 0, 10_000)
+        assert 0 < end <= 10_000
         kept = np.zeros(end, dtype=bool)
         for a, b in zip(lo, hi):
             kept[a : b + 1] = True
@@ -764,10 +764,10 @@ class TestPointwiseFinish:
                             continue
                         j = np.arange(start, grid.steps, dtype=float)
                         pointwise = search._in_windows(pairs, j)
-                        finished = search._torus_windows(pairs, start, start + 1, grid.steps)
+                        finished = search._torus_windows(pairs, start, grid.steps)
                         with monkeypatch.context() as m:
                             m.setattr(search, "SIEVE_POINTWISE", 0)  # runs only
-                            runs, end = search._torus_windows(pairs, start, start + 1, grid.steps)
+                            runs, end = search._torus_windows(pairs, start, grid.steps)
                         assert end == finished[1] == grid.steps
                         runs_only = self._kept(runs, start, grid.steps)
                         assert np.array_equal(pointwise, runs_only)
@@ -783,7 +783,7 @@ class TestPointwiseFinish:
         centre = 2.0 * math.pi * np.rint(j / 4.0) / (math.pi / 2)
         assert np.count_nonzero(centre - 1.0 == j) > 500
         monkeypatch.setattr(search, "SIEVE_POINTWISE", 0)  # runs only
-        runs, _ = search._torus_windows(pairs, 0, 1, 4096)
+        runs, _ = search._torus_windows(pairs, 0, 4096)
         assert np.array_equal(search._in_windows(pairs, j), self._kept(runs, 0, 4096))
 
 
@@ -810,9 +810,9 @@ class TestWalk:
         builds, evaluated = [], []
         windows, pruned = search._torus_windows, search._pruned_series
 
-        def recording_windows(pairs, lo, need, stop):
+        def recording_windows(pairs, lo, stop):
             builds.append((lo, stop))
-            return windows(pairs, lo, need, stop)
+            return windows(pairs, lo, stop)
 
         def recording_pruned(kernel, times, *args):
             evaluated.append(times[0])
@@ -864,10 +864,9 @@ class TestWalk:
         for lo, hi, f in blocks:
             if f is not None:
                 dense[lo:hi] = f
-        inside = lambda f: f >= threshold  # noqa: E731
-        found = _first_crossing(blocks, inside)
-        assert found == _first_crossing([(0, grid.steps, dense)], inside)
-        assert found == _first_crossing(scan(kernel, grid), inside)
+        found = _first_crossing(blocks, threshold)
+        assert found == _first_crossing([(0, grid.steps, dense)], threshold)
+        assert found == _first_crossing(scan(kernel, grid), threshold)
 
     def test_first_stride_at_rank_above_one_follows_the_mixedness(self, monkeypatch):
         # 0.9 |+><+| + 0.05 I has mixedness 0.095: the super-fidelity ceiling

@@ -286,6 +286,27 @@ class TestStroboscopic:
             stroboscopic_recurrence(H, rho0, 1.0, 0.37, jmax_cap=cap)
 
 
+class TestOverflowingPhases:
+    """A span of times whose phase arguments (E_k - c) t/hbar overflow is
+    refused before any sample is taken: the phases, and every F read
+    from them, would be NaN."""
+
+    def test_refused_before_any_sample(self, monkeypatch):
+        H = Hamiltonian(np.array([0.0, 10.0]))  # levels +-5
+        rho0 = pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
+        kernel = make_kernel(H, rho0)
+        monkeypatch.setattr(search.EvolutionKernel, "phases", lambda *a: pytest.fail("sampled"))
+        calls = [
+            lambda: list(search.scan(kernel, Grid(1e308, default_dt(H), 13))),
+            lambda: find_recurrence(H, rho0, 0.9, Grid(1e308, default_dt(H), 13), refine=True),
+            lambda: stroboscopic_recurrence(H, rho0, 0.9, np.float64(1e308)),  # warns in numpy
+            lambda: next(search.collect_samples(H, rho0, np.array([0.0, -1e308]))),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameter, match="not finite"):
+                call()
+
+
 class TestBuresSeries:
     def test_qubit_near_its_return(self):
         # exact: 0; |fl(2 pi) - 2 pi| / 2 = 1.2e-16; 2 sin(t/4) = 5.0e-10.

@@ -14,7 +14,6 @@ from qrecur import (
     make_kernel,
     metric_recurrence_oracle,
     sphere_ball_volume,
-    torus_distance,
     torus_from_state,
     torus_phase_at,
     torus_volume,
@@ -73,30 +72,32 @@ class TestWrapAngles:
 class TestTorusDistance:
     def test_origin(self):
         t = FlatTorus(np.array([1.0, 2.0]))
-        assert torus_distance(t, [0.0, 0.0]) == 0.0
+        assert torus_distance_series(t, np.zeros((1, 2))).tolist() == [0.0]
 
     def test_antipodal_qubit(self):
         t = FlatTorus(np.array([1 / math.sqrt(2.0)] * 2))
-        assert torus_distance(t, [math.pi, math.pi]) == pytest.approx(math.pi)
+        assert torus_distance_series(t, np.array([[math.pi, math.pi]]))[0] == pytest.approx(math.pi)
 
     def test_series_matches_scalar(self):
+        # each row against sqrt(sum r_j^2 theta_j^2) in scalar arithmetic,
+        # with theta_j reduced to [-pi, pi]
         t = FlatTorus(np.array([0.7, 0.3, 0.5]))
         thetas = np.random.default_rng(0).uniform(-10, 10, size=(20, 3))
         series = torus_distance_series(t, thetas)
         for row, d in zip(thetas, series):
-            assert d == pytest.approx(torus_distance(t, row), abs=1e-12)
+            w = [math.remainder(x, 2.0 * math.pi) for x in row]
+            ref = math.sqrt(math.fsum((r * x) ** 2 for r, x in zip(t.radii, w)))
+            assert d == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 17, 200])
     def test_scalar_is_a_series_row_bit_for_bit(self, n):
+        # a row alone gives its value in the series, so the CSV column
+        # does not depend on how the times are chunked
         rng = np.random.default_rng(n)
         t = FlatTorus(rng.uniform(0.05, 1.0, size=n))
         thetas = rng.uniform(-10, 10, size=(10, n))
         series = torus_distance_series(t, thetas)
-        assert [torus_distance(t, row) for row in thetas] == series.tolist()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(BadDomain):
-            torus_distance(FlatTorus(np.array([1.0])), [0.1, 0.2])
+        assert [float(torus_distance_series(t, row[None])[0]) for row in thetas] == series.tolist()
 
 
 class TestTorusPhase:
@@ -110,7 +111,7 @@ class TestTorusPhase:
         # both levels sit at pi after wrapping (-pi maps to pi)
         assert np.allclose(theta, [math.pi, math.pi])
         t = FlatTorus(np.array([1 / math.sqrt(2.0)] * 2))
-        assert torus_distance(t, theta) == pytest.approx(math.pi)
+        assert torus_distance_series(t, theta[None])[0] == pytest.approx(math.pi)
 
     def test_commensurate_common_period(self):
         H = Hamiltonian(np.array([0.0, 1.0, 2.0]))
@@ -130,7 +131,7 @@ class TestSubmersionInequality:
         H, rho0 = random_system(n, seed)
         torus = torus_from_state(rho0)
         lam = float(H.energies @ rho0.populations)
-        d_torus = torus_distance(torus, torus_phase_at(H, lam, t))
+        d_torus = torus_distance_series(torus, torus_phase_at(H, lam, np.array([t])))[0]
         kernel = make_kernel(H, rho0)
         times = np.array([t])
         d_bures = bures_series(kernel, times, fidelity_series(kernel, times))[0]
