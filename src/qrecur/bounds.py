@@ -252,7 +252,8 @@ def energy_bounds(
     if n < 2:
         raise StationaryState("support is one-dimensional; the state never moves")
     mean, de = energy_stats(H, rho0)
-    if de <= 1e-14:
+    # zero up to the rounding of its own sums, in the spectrum's own unit
+    if de <= n * np.finfo(float).eps * float(np.abs(H.energies).max()):
         raise StationaryState(f"energy uncertainty {de:.3e} is zero")
     p = rho0.populations
     radii = np.sqrt(p)

@@ -196,13 +196,7 @@ def _cmd_strobe(args) -> int:
 
 def _cmd_truncate(args) -> int:
     H, rho0 = _load_system(args.input)
-    if args.N is not None:
-        N = args.N
-    elif args.delta_target is not None:
-        N = choose_N(rho0, args.delta_target, order=args.order)
-    else:
-        print("need --N or --delta-target", file=sys.stderr)
-        return 2
+    N = args.N if args.N is not None else choose_N(rho0, args.delta_target, order=args.order)
     trunc = truncate(rho0, N, order=args.order)
     out = trunc.to_dict()
     out["norm"] = "hilbert-schmidt (delta_N excludes cross blocks; complement_hs_sq includes them)"
@@ -270,57 +264,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recurrence-time bounds and measurements for quantum mixed states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--input", required=True, help="system JSON file")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--output", help="report JSON path (default stdout)")
+    both = [system, report]
 
-    p = sub.add_parser("bounds", help="evaluate theoretical recurrence bounds")
-    p.add_argument("--input", required=True, help="system JSON file")
+    p = sub.add_parser("bounds", parents=both, help="evaluate theoretical recurrence bounds")
     p.add_argument("--threshold", type=float, required=True, help="fidelity threshold in (0, 1)")
-    p.add_argument("--output", help="report JSON path (default stdout)")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("search", help="measure the recurrence time on a grid")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("search", parents=both, help="measure the recurrence time on a grid")
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--dt", default="auto", help="grid step or 'auto'")
     p.add_argument("--horizon", default="auto", help="scan horizon (time) or 'auto'")
     p.add_argument("--allow-coarse", action="store_true")
     p.add_argument("--refine", action="store_true", help="first crossings on a dt/1024 grid")
-    p.add_argument("--output", help="result JSON path (default stdout)")
     p.add_argument("--csv", help="time-series CSV path")
     p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("strobe", help="stroboscopic recurrence search")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("strobe", parents=both, help="stroboscopic recurrence search")
     p.add_argument("--epsilon", type=float, required=True, help="fidelity floor in (0, 1]")
     p.add_argument("--t", type=float, required=True, help="stroboscopic step length")
     p.add_argument("--jmax-cap", type=int, default=100_000)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_strobe)
 
-    p = sub.add_parser("truncate", help="N-relevant-state approximation")
-    p.add_argument("--input", required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--delta-target", type=float)
+    p = sub.add_parser("truncate", parents=both, help="N-relevant-state approximation")
+    choice = p.add_mutually_exclusive_group(required=True)
+    choice.add_argument("--N", type=int)
+    choice.add_argument("--delta-target", type=float)
     p.add_argument("--order", choices=["energy", "population"], default="energy")
     p.add_argument("--epsilon", type=float, help="also evaluate truncated bounds")
     p.add_argument("--mode", choices=["energy", "dimension"], default="energy")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_truncate)
 
-    p = sub.add_parser("geometry", help="torus/sphere/tube volumes and the metric oracle")
+    p = sub.add_parser("geometry", parents=[report], help="torus/sphere/tube volumes and the metric oracle")
     p.add_argument("--ball", nargs=2, metavar=("N", "R"))
     p.add_argument("--tube", nargs=3, metavar=("N", "THETA", "LENGTH"))
     p.add_argument("--state", help="system JSON; reports the phase-torus geometry of its support")
     p.add_argument("--metric-space", help="JSON {points, dist, measure, permutation}")
     p.add_argument("--point", type=int, default=0)
     p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_geometry)
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all", help="'all' or the name of one suite")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--output")
+    p.add_argument("--output", help="results JSON path; stdout carries the PASS/FAIL lines")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

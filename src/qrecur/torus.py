@@ -28,8 +28,6 @@ from .errors import (
 )
 from .states import DensityMatrix, Hamiltonian, _array, _validated_make
 
-METRIC_TOL = 1e-12
-
 
 class _FlatTorusFields(NamedTuple):
     radii: np.ndarray
@@ -72,8 +70,10 @@ def wrap_angles(theta) -> np.ndarray:
 
 def torus_distance_series(torus: FlatTorus, thetas: np.ndarray) -> np.ndarray:
     """Geodesic distance from the origin, sqrt(sum r_j^2 * wrap(theta_j)^2),
-    of each row of a (samples, n) angle array."""
+    of each row of a (samples, torus.dim) angle array."""
     w = wrap_angles(thetas)
+    if w.ndim != 2 or w.shape[1] != torus.dim:
+        raise BadDomain(f"angles of shape {w.shape}, need (samples, {torus.dim})")
     return np.sqrt((torus.radii[None, :] ** 2 * w**2).sum(axis=1))
 
 
@@ -159,17 +159,18 @@ class FiniteMetricSpace(_FiniteMetricSpaceFields):
             total = float(mu.sum())
         if not math.isfinite(total):  # an infinite weight, or finite weights that overflow
             raise BadDomain(f"measure must be finite weights with a finite total, got {total}")
-        if np.abs(d - d.T).max() > METRIC_TOL:
+        tol = 1e-12 * float(np.abs(d).max())  # round-off, in the distances' own unit
+        if np.abs(d - d.T).max() > tol:
             raise BadDomain("distance matrix is not symmetric")
-        if np.abs(np.diag(d)).max() > METRIC_TOL:
+        if np.abs(np.diag(d)).max() > tol:
             raise BadDomain("distance matrix has nonzero diagonal")
-        if np.any(d < -METRIC_TOL):
+        if np.any(d < -tol):
             raise BadDomain("negative distances")
         # triangle inequality: d[i, j] <= d[i, k] + d[k, j] for all k, in
         # slabs of middle indices k whose m x slab x m sums fit the budget
         for lo, hi in chunk_bounds(m, chunk_cap(8 * m * m)):
             via = (d[:, lo:hi, None] + d[None, lo:hi, :]).min(axis=1)
-            if np.any(d > via + METRIC_TOL):
+            if np.any(d > via + tol):
                 raise BadDomain("triangle inequality violated")
         d.setflags(write=False)
         mu.setflags(write=False)
@@ -231,17 +232,19 @@ def metric_recurrence_oracle(
         raise BadDomain(f"point {p} is not one of the points 0..{m - 1}")
     if perm.ndim != 1 or sorted(perm.tolist()) != list(range(m)):
         raise BadDomain("permutation must be a bijection on the points")
-    d = space.dist
-    if np.abs(d[np.ix_(perm, perm)] - d).max() > METRIC_TOL:
+    d, mu = space.dist, space.measure
+    # round-off allowances as in FiniteMetricSpace: of the largest distance,
+    # and of each weight, as the weights may span the float range
+    if np.abs(d[np.ix_(perm, perm)] - d).max() > 1e-12 * float(np.abs(d).max()):
         raise NotIsometry("permutation does not preserve distances")
-    if np.abs(space.measure[perm] - space.measure).max() > METRIC_TOL:
+    if np.any(np.abs(mu[perm] - mu) > 1e-12 * mu):
         raise NotMeasurePreserving("permutation does not preserve the measure")
     # exact sums: float sums can round an integral mu(M)/mu(B) one ulp low,
     # and a k equal to it would then fail the ceiling it meets
-    ball_mu = _exact_sum(space.measure[d[p] < r / 2.0])
+    ball_mu = _exact_sum(mu[d[p] < r / 2.0])
     if not ball_mu:
         raise BallEmpty(f"open ball of radius {r / 2.0} around point {p} is empty")
-    total = _exact_sum(space.measure)
+    total = _exact_sum(mu)
     try:
         bound = total / ball_mu  # int / int: correctly rounded
     except OverflowError:  # weights far apart, such as 1e300 and 1e-10
@@ -251,5 +254,6 @@ def metric_recurrence_oracle(
         q = int(perm[q])
         if d[p, q] <= r:
             return OracleResult(n_rec=k, bound=bound, ok=k * ball_mu <= total)
-    # reached only if d[p, p] > r, which METRIC_TOL allows for r below 1e-12
+    # reached only if d[p, p] > r, which the round-off allowance admits
+    # for r below 1e-12 of the largest distance
     return OracleResult(n_rec=m + 1, bound=bound, ok=False)

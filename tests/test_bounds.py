@@ -265,6 +265,25 @@ class TestEnergyBounds:
         with pytest.raises(StationaryState):
             energy_bounds(H, pure_state(np.array([1.0, 0.0])), 0.1)
 
+    def test_rescaled_qubit_matches_the_unit_qubit(self):
+        # E = (0, 1e-20) with hbar = 1e-20 is the unit qubit in other units:
+        # its dE = 5e-21 is not zero, whatever the unit
+        H, rho0 = self.qubit()
+        unit = energy_bounds(H, rho0, 0.1)
+        rescaled = energy_bounds(Hamiltonian(np.array([0.0, 1e-20]), 1e-20), rho0, 0.1)
+        assert rescaled.lower_mt == pytest.approx(unit.lower_mt, rel=1e-14)
+        assert rescaled.upper_product == pytest.approx(unit.upper_product, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [1e-20, -3.7, 1e6, 1e20])
+    def test_degenerate_support_rejected_at_any_scale(self, c):
+        # all six levels at E = c: the computed dE is round-off, nonzero for
+        # these populations and in the unit of c (about 1.6e4 at c = 1e20)
+        p = np.random.default_rng(2).uniform(0.05, 1.0, size=6)
+        H = Hamiltonian(np.full(6, c))
+        rho0 = validate_density(np.diag(p / p.sum()).astype(complex))
+        with pytest.raises(StationaryState):
+            energy_bounds(H, rho0, 0.1)
+
     def test_degenerate_spectrum_rejected(self):
         H = Hamiltonian(np.array([1.0, 1.0]))
         rho0 = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))

@@ -78,6 +78,31 @@ class TestBounds:
         for name in ("peres", "bhattacharyya"):
             assert out["estimates"][name] == {"error": "BadDomain", "message": "frequencies must be finite"}
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["bounds", "--threshold", "0.999"], None),
+            (["search", "--threshold", "0.999", "--horizon", "7"], "bounds"),
+            (["truncate", "--N", "2", "--epsilon", "0.1"], "bounds"),
+        ],
+        ids=["bounds", "search", "truncate"],
+    )
+    def test_rescaled_qubit_gets_the_unit_bracket(self, qubit_json, tmp_path, capsys, argv, key):
+        # E = (0, 1e-20) with hbar = 1e-20 is the README qubit in other units;
+        # its dE = 5e-21 was read as zero, and the state as stationary
+        with open(qubit_json) as fh:
+            spec = {**json.load(fh), "energies": [0.0, 1e-20], "hbar": 1e-20}
+        path = tmp_path / "rescaled.json"
+        path.write_text(json.dumps(spec))
+        reports = []
+        for system in (qubit_json, str(path)):
+            code, out = run_json([argv[0], "--input", system, *argv[1:]], capsys)
+            assert code == 0
+            reports.append(out[key] if key else out)
+        unit, rescaled = reports
+        for field in ("lower_mt", "upper_product"):
+            assert rescaled[field] == pytest.approx(unit[field], rel=1e-14)
+
     def test_precondition_violation_exit_code(self, tmp_path, capsys):
         # tiny minimum population: the torus injectivity radius collapses
         # and a loose threshold asks for a ball the theory cannot grant
@@ -472,6 +497,17 @@ class TestSampleLimit:
         assert "--horizon" in out["message"] and count in out["message"]
         assert str(MAX_AUTO_SAMPLES) in out["message"]
 
+    def test_horizon_over_the_limit_is_refused_in_process(self, qubit_json, capsys):
+        # the refusal comes before any sample, so main() returns at once
+        argv = ["search", "--input", qubit_json, "--threshold", "0.999", "--horizon", "1e9"]
+        code, out = run_json(argv, capsys)
+        assert code == 1
+        assert out["error"] == "BadParameter"
+        assert out["message"] == (
+            "--horizon 1e9 at --dt auto is 1273239545 grid samples, "
+            f"over the limit of MAX_AUTO_SAMPLES = {MAX_AUTO_SAMPLES}"
+        )
+
     def test_jmax_cap_over_the_limit_is_refused(self, qubit_json):
         code, out = run_cli_bounded(
             ["strobe", "--input", qubit_json, "--epsilon", "1.0", "--t", "0.37",
@@ -588,7 +624,35 @@ class TestTruncate:
         assert out["bounds"]["ceiling_norm"] == "trace"
 
     def test_neither_N_nor_target(self, mixed3_json, capsys):
-        assert main(["truncate", "--input", mixed3_json]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["truncate", "--input", mixed3_json])
+        assert exc.value.code == 2
+        assert "one of the arguments --N --delta-target is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [["--N", "2", "--delta-target", "0.0"],
+                                       ["--delta-target", "0.0", "--N", "2"]])
+    def test_both_N_and_target(self, mixed3_json, capsys, order):
+        # --N used to win silently, printing a delta_N above the target
+        with pytest.raises(SystemExit) as exc:
+            main(["truncate", "--input", mixed3_json, *order])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
+    def test_delta_target_skips_a_zero_probability_N(self, tmp_path, capsys):
+        # N = 1 keeps only the empty level 0; N = 2 leaves delta_N = 0.25
+        path = tmp_path / "empty-first.json"
+        path.write_text(json.dumps({"energies": [0, 1, 2], "state": {"diagonal": [0, 0.5, 0.5]}}))
+        code, out = run_json(["truncate", "--input", str(path), "--delta-target", "0.3"], capsys)
+        assert code == 0
+        assert out["N"] == 2 and out["delta_N"] == pytest.approx(0.25)
+
+    def test_dimension_mode_refuses_epsilon_above_one(self, mixed3_json, capsys):
+        argv = ["truncate", "--input", mixed3_json, "--N", "2", "--epsilon", "1.5",
+                "--mode", "dimension"]
+        code, out = run_json(argv, capsys)
+        assert code == 1
+        assert out["error"] == "BadDomain" and "(0, 1]" in out["message"]
 
 
 class TestGeometry:

@@ -291,3 +291,24 @@ class TestSystemFromDict:
     def test_missing_field(self):
         with pytest.raises(BadParameter):
             system_from_dict({"energies": [0.0, 1.0]})
+
+    @pytest.mark.parametrize(
+        "state, field",
+        [
+            ({"matrix": [[0.5, 0.0], [0.0, 0.5]]}, "state.matrix"),
+            ({"matrix": [[[0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 2}, "state.matrix"),
+            ({"pure": [0.7, 0.7]}, "state.pure"),
+            ({"pure": [[0.7, 0.0, 0.0], [0.7, 0.0, 0.0]]}, "state.pure"),
+            ({"thermal": {"beta": 1.0}}, "state must contain"),
+        ],
+        ids=["matrix-2d", "matrix-triples", "pure-1d", "pure-triples", "unknown-kind"],
+    )
+    def test_state_of_the_wrong_shape_or_kind(self, state, field):
+        with pytest.raises(BadParameter, match=f"^{field}"):
+            system_from_dict({"energies": [0.0, 1.0], "state": state})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hamiltonian_refuses_non_finite_energies(bad):
+    with pytest.raises(BadParameter, match="energies must be finite"):
+        Hamiltonian(np.array([0.0, bad]))

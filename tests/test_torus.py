@@ -99,6 +99,16 @@ class TestTorusDistance:
         series = torus_distance_series(t, thetas)
         assert [float(torus_distance_series(t, row[None])[0]) for row in thetas] == series.tolist()
 
+    @pytest.mark.parametrize(
+        "radii, thetas",
+        [([1.0], [[0.1, 0.2]]), ([1.0, 2.0], [[0.1, 0.2, 0.3]]), ([1.0, 2.0], [0.1, 0.2])],
+        ids=["one-radius-two-angles", "two-radii-three-angles", "a-bare-row"],
+    )
+    def test_rows_of_the_wrong_shape_are_refused(self, radii, thetas):
+        # numpy broadcasting gave 0.2236 for the first and its own ValueError for the second
+        with pytest.raises(BadDomain, match="shape"):
+            torus_distance_series(FlatTorus(np.array(radii)), np.array(thetas))
+
 
 class TestTorusPhase:
     def test_t_zero(self):
@@ -269,6 +279,18 @@ class TestFiniteMetricSpace:
         with pytest.raises(BadDomain):
             FiniteMetricSpace(points=tuple(range(40)), dist=bad, measure=np.ones(40))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-13])
+    def test_small_scale_spaces_are_judged_in_their_own_unit(self, scale):
+        # 1e-12 absolute admitted each of these at scale 1e-13
+        with pytest.raises(BadDomain, match="negative"):
+            FiniteMetricSpace(
+                points=(0, 1), dist=np.array([[0.0, -5.0], [-5.0, 0.0]]) * scale,
+                measure=np.ones(2),
+            )
+        triangle = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]) * scale
+        with pytest.raises(BadDomain, match="triangle"):
+            FiniteMetricSpace(points=(0, 1, 2), dist=triangle, measure=np.ones(3))
+
     def test_from_dict(self):
         s = FiniteMetricSpace.from_dict(
             {"points": [0, 1], "dist": [[0, 1], [1, 0]], "measure": [1, 2]}
@@ -353,11 +375,27 @@ class TestMetricOracle:
         assert metric_recurrence_oracle(s, [1, 2, 0], 0, 0.5) == (3, 3.0, True)
 
     def test_orbit_that_never_comes_within_r(self):
-        # d[0, 0] = 5e-13 passes METRIC_TOL but exceeds r; point 1 fills the ball
+        # d[0, 0] = 5e-13 is within the round-off allowance, 1e-12 of the
+        # largest distance 1, but exceeds r; point 1 fills the ball
+        d = np.array([[5e-13, 0.0, 1.0], [0.0, 5e-13, 1.0], [1.0, 1.0, 5e-13]])
+        s = FiniteMetricSpace(points=(0, 1, 2), dist=d, measure=np.ones(3))
+        assert metric_recurrence_oracle(s, [0, 1, 2], 0, 1e-13) == (4, 3.0, False)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-20])
+    def test_measure_is_compared_weight_by_weight(self, scale):
+        # a swap of (1e-20, 2e-20) differs by 1e-20, under 1e-12 absolute
         s = FiniteMetricSpace(
-            points=(0, 1), dist=np.array([[5e-13, 0.0], [0.0, 5e-13]]), measure=np.ones(2)
+            points=(0, 1), dist=1.0 - np.eye(2), measure=np.array([1.0, 2.0]) * scale
         )
-        assert metric_recurrence_oracle(s, [0, 1], 0, 1e-13) == (3, 2.0, False)
+        with pytest.raises(NotMeasurePreserving):
+            metric_recurrence_oracle(s, [1, 0], 0, 0.5)
+
+    def test_isometry_is_judged_in_the_unit_of_the_distances(self):
+        # the swap moves d[0, 2] = 1e-13 to d[1, 2] = 2e-13
+        d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 2.0], [1.0, 2.0, 0.0]]) * 1e-13
+        s = FiniteMetricSpace(points=(0, 1, 2), dist=d, measure=np.ones(3))
+        with pytest.raises(NotIsometry):
+            metric_recurrence_oracle(s, [1, 0, 2], 0, 1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(
