@@ -301,19 +301,23 @@ def truncated_bounds(
     """Bounds for the normalized N-state approximation, plus the distance
     ceiling on the full state it implies.
 
-    mode "energy": energy-uncertainty bracket for sigma_tilde with trace-norm
-    ceiling 2*sqrt(delta_N) + sqrt(2)*P_N*eps*sqrt(1 - eps^2/8).
-    mode "dimension": dimension-only step ceiling with N states and trace-norm
-    ceiling 2*sqrt(delta_N) + 2*P_N*(1 - eps^2).
+    mode "energy": energy-uncertainty bracket for sigma_tilde, whose return
+    means F >= f = 1 - eps^2/4. mode "dimension": dimension-only step
+    ceiling with N states, whose return means F >= f = eps.
+
+    Both modes share one trace-norm ceiling on ||rho(t) - rho0||_1 at such a
+    return: 2*||R||_1 + 2*P_N*sqrt(1 - max(0, f)^2). The remainder
+    R = rho0 - sigma_N evolves unitarily, so ||R(t) - R||_1 <= 2*||R||_1;
+    the kept block contributes P_N*||sigma_tilde(t) - sigma_tilde||_1, which
+    Fuchs-van de Graaf bounds by 2*P_N*sqrt(1 - F^2). A floor below 0 says
+    nothing, as F >= 0. 1 - max(0, f)^2 is formed as g*(2 - g) with
+    g = min(1, 1 - f), so a small eps keeps its block term.
     """
     N = trunc.N
     H_N = Hamiltonian(H.energies[np.asarray(trunc.kept_indices)], H.hbar)
-    ceiling_base = 2.0 * math.sqrt(trunc.delta_N)
     if mode == "energy":
         report = energy_bounds(H_N, trunc.sigma_tilde, epsilon)
-        ceiling = ceiling_base + math.sqrt(2.0) * trunc.P_N * epsilon * math.sqrt(
-            1.0 - epsilon**2 / 8.0
-        )
+        shortfall = epsilon**2 / 4.0  # 1 - f
     elif mode == "dimension":
         if not (0.0 < epsilon <= 1.0):
             raise BadDomain("epsilon must be in (0, 1] for the dimension mode")
@@ -339,9 +343,11 @@ def truncated_bounds(
             max_epsilon=1.0,
             preconditions={"dimension_only": True},
         )
-        ceiling = ceiling_base + 2.0 * trunc.P_N * (1.0 - epsilon**2)
+        shortfall = 1.0 - epsilon
     else:
         raise BadDomain(f"unknown mode {mode!r}")
+    g = min(shortfall, 1.0)
+    ceiling = 2.0 * trunc.complement_trace_norm + 2.0 * trunc.P_N * math.sqrt(g * (2.0 - g))
     return report._replace(distance_ceiling=ceiling, ceiling_norm="trace")
 
 

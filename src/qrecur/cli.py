@@ -199,7 +199,11 @@ def _cmd_truncate(args) -> int:
     N = args.N if args.N is not None else choose_N(rho0, args.delta_target, order=args.order)
     trunc = truncate(rho0, N, order=args.order)
     out = trunc.to_dict()
-    out["norm"] = "hilbert-schmidt (delta_N excludes cross blocks; complement_hs_sq includes them)"
+    out["norm"] = (
+        "delta_N and complement_hs_sq: squared hilbert-schmidt (delta_N excludes"
+        " cross blocks; complement_hs_sq includes them); complement_trace_norm and"
+        " bounds.distance_ceiling: trace"
+    )
     if args.epsilon is not None:
         report = bounds.truncated_bounds(H, trunc, args.epsilon, args.mode)
         out["bounds"] = report.to_dict()

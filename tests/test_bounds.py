@@ -11,16 +11,24 @@ from scipy.special import gamma
 
 from conftest import random_state, random_system
 from qrecur import (
+    Grid,
     Hamiltonian,
     bhattacharyya_estimate,
+    default_dt,
     dimension_bound,
     energy_bounds,
+    evolve,
+    fidelity,
+    find_recurrence,
+    make_kernel,
     peres_estimate,
     pure_state,
+    random_density,
     reduce_to_support,
     sin_power_integral,
     sphere_ball_volume,
     threshold_to_epsilon,
+    trace_distance_norm,
     truncate,
     truncated_bounds,
     validate_density,
@@ -37,6 +45,7 @@ from qrecur.errors import (
     PreconditionViolated,
     StationaryState,
 )
+from qrecur.states import random_hamiltonian
 
 
 class TestSinPowerIntegral:
@@ -344,7 +353,8 @@ class TestTruncatedBounds:
         trunc = truncate(rho0, 2)
         eps = 0.9
         rep = truncated_bounds(H, trunc, eps, "dimension")
-        expected = 2.0 * math.sqrt(0.04) + 2.0 * 0.8 * (1.0 - eps**2)
+        # 2 ||rho0 - sigma_N||_1 + 2 P_N sqrt(1 - eps^2), Fuchs-van de Graaf
+        expected = 2.0 * 0.2 + 2.0 * 0.8 * math.sqrt(1.0 - eps**2)
         assert rep.distance_ceiling == pytest.approx(expected, rel=1e-12)
         assert rep.epsilon_convention == EPS_FIDELITY_FLOOR
         assert rep.jmax_dimension == pytest.approx(dimension_bound(2, eps)[0])
@@ -354,6 +364,53 @@ class TestTruncatedBounds:
         H, rho0 = self.system()
         with pytest.raises(BadDomain):
             truncated_bounds(H, truncate(rho0, 2), 0.5, "other")
+
+    def test_dimension_mode_ceiling_holds_at_a_return(self):
+        # the kept block returns to F = 0.9 at t = 2 arccos 0.9; the cross
+        # blocks to the nearly empty third level stay under the ceiling
+        amplitudes = np.array([1.0, 1.0, 1e-3]) / math.sqrt(2.0 + 1e-6)
+        H, rho0 = Hamiltonian(np.array([0.0, 1.0, 2.0])), pure_state(amplitudes)
+        trunc = truncate(rho0, 2)
+        t = 2.0 * math.acos(0.9) * (1.0 - 1e-12)
+        block = trunc.sigma_tilde
+        block_t = evolve(make_kernel(Hamiltonian(np.array([0.0, 1.0])), block), t)
+        assert fidelity(block_t, block) >= 0.9
+        measured = trace_distance_norm(evolve(make_kernel(H, rho0), t), rho0)
+        ceiling = truncated_bounds(H, trunc, 0.9, "dimension").distance_ceiling
+        assert measured == pytest.approx(0.8717812, abs=1e-7)
+        assert measured <= ceiling
+
+    def test_energy_mode_ceiling_holds_at_a_return(self):
+        # instance 6 of the truncation suite at seed 42, with eps at u = 0.3:
+        # the cross blocks carry more than 2 sqrt(delta_N) can cover
+        rng = np.random.default_rng([42, 3006])
+        H, rho0 = random_hamiltonian(6, rng), random_density(6, rng)
+        trunc = truncate(rho0, 3)
+        H_N = Hamiltonian(H.energies[:3])
+        eps = 0.3 * math.pi * math.sqrt(trunc.sigma_tilde.populations.min())
+        rep = truncated_bounds(H, trunc, eps, "energy")
+        dt = min(default_dt(H_N), rep.lower_mt / 4.0)
+        res = find_recurrence(
+            H_N, trunc.sigma_tilde, 1.0 - eps**2 / 4.0,
+            Grid(0.0, dt, math.ceil((rep.upper_product + 2 * dt) / dt)), report=rep,
+        )
+        measured = trace_distance_norm(evolve(make_kernel(H, rho0), res.t_rec), rho0)
+        assert measured > 2.0 * math.sqrt(trunc.delta_N) + math.sqrt(2.0) * trunc.P_N * eps
+        assert measured <= rep.distance_ceiling
+
+    def test_negative_floor_gives_the_whole_block(self):
+        # eps > 2 puts the floor 1 - eps^2/4 below 0, which F >= 0 makes void
+        H = Hamiltonian(np.array([0.0, 1.0, 2.0]))
+        rho0 = validate_density(np.diag([0.45, 0.45, 0.1]).astype(complex))
+        rep = truncated_bounds(H, truncate(rho0, 2), 2.1, "energy")
+        assert rep.distance_ceiling == pytest.approx(2.0 * 0.1 + 2.0 * 0.9, rel=1e-12)
+
+    def test_small_epsilon_keeps_the_block_term(self):
+        H, rho0 = self.system()
+        eps = 1e-9
+        rep = truncated_bounds(H, truncate(rho0, 2), eps, "energy")
+        expected = 2.0 * 0.2 + math.sqrt(2.0) * 0.8 * eps * math.sqrt(1.0 - eps**2 / 8.0)
+        assert rep.distance_ceiling == pytest.approx(expected, rel=1e-12)
 
 
 class TestEstimates:

@@ -978,8 +978,8 @@ BOUND_KEYS = {
     "support_dropped", "torus_radii", "upper_product", "upper_simplified",
 }
 TRUNCATE_KEYS = {
-    "N", "P_N", "bounds", "complement_hs_sq", "delta_N", "kept_indices", "norm",
-    "permutation", "sigma_tilde",
+    "N", "P_N", "bounds", "complement_hs_sq", "complement_trace_norm", "delta_N",
+    "kept_indices", "norm", "permutation", "sigma_tilde",
 }
 
 

@@ -16,6 +16,7 @@ from qrecur import (
     truncate,
     validate_density,
 )
+from qrecur import truncation
 from qrecur.errors import BadN, ZeroProbability
 from qrecur.states import oscillator_hamiltonian
 
@@ -59,6 +60,8 @@ class TestTruncate:
             sigma_N = np.zeros_like(m)
             sigma_N[:N, :N] = m[:N, :N]
             assert t.complement_hs_sq == float((np.abs(m - sigma_N) ** 2).sum())
+            singular = np.linalg.svd(m - sigma_N, compute_uv=False)
+            assert t.complement_trace_norm == pytest.approx(singular.sum(), abs=1e-14)
 
     def test_population_order(self):
         rho0 = validate_density(np.diag([0.2, 0.5, 0.3]).astype(complex))
@@ -114,6 +117,62 @@ class TestChooseN:
     def test_bad_target(self):
         with pytest.raises(BadN):
             choose_N(diag_state(), -0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        empty=st.integers(0, 2),
+        order=st.sampled_from(["energy", "population"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_smallest_admissible_N(self, n, empty, order, seed):
+        # the first `empty` levels hold no population, so truncate refuses
+        # those N in energy order
+        empty = min(empty, n - 1)
+        m = np.zeros((n, n), dtype=complex)
+        m[empty:, empty:] = random_state(n - empty, seed).matrix
+        rho0 = validate_density(m)
+
+        def delta_or_none(N):
+            try:
+                return truncate(rho0, N, order=order).delta_N
+            except ZeroProbability:
+                return None
+
+        deltas = {N: delta_or_none(N) for N in range(1, n + 1)}
+        admissible = [d for d in deltas.values() if d is not None]
+        targets = admissible + [d * (1.0 + 1e-3) for d in admissible] + [0.0, 1.0]
+        for target in targets:
+            chosen = choose_N(rho0, target, order=order)
+            assert deltas[chosen] is not None and deltas[chosen] <= target
+            assert all(
+                deltas[N] is None or deltas[N] > target for N in range(1, chosen)
+            )
+        for N, d in deltas.items():
+            if d is not None:
+                assert choose_N(rho0, d, order=order) <= N
+
+    def test_reads_the_table_without_truncating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("choose_N must not build a truncation")
+
+        rho0 = random_state(200, 3)
+        monkeypatch.setattr(truncation, "truncate", refuse)
+        monkeypatch.setattr(truncation, "validate_density", refuse)
+        assert choose_N(rho0, 0.0) == 200
+        assert choose_N(rho0, 0.0, order="population") == 200
+        assert choose_N(rho0, 1.0) == 1
+
+    def test_table_delta_matches_the_tail_block(self):
+        eps = np.finfo(float).eps
+        for n, seed, order in itertools.product((3, 8, 40), (0, 1), ("energy", "population")):
+            rho0 = random_state(n, seed)
+            for N in range(1, n + 1):
+                t = truncate(rho0, N, order=order)
+                perm = list(t.permutation) if t.permutation else list(range(n))
+                tail = rho0.matrix[np.ix_(perm, perm)][N:, N:]
+                direct = float((np.abs(tail) ** 2).sum())
+                assert abs(t.delta_N - direct) <= n**2 * eps * direct
 
 
 class TestDeltaTimeInvariance:
