@@ -15,7 +15,7 @@ carry both the linear value (saturating to inf) and its log.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -26,9 +26,11 @@ from .errors import (
     PreconditionViolated,
     StationaryState,
 )
-from .metrics import energy_stats
+from .metrics import energy_stats, is_stationary
 from .states import DensityMatrix, Hamiltonian
-from .truncation import TruncationResult
+
+if TYPE_CHECKING:
+    from .truncation import TruncationResult
 
 SUPPORT_TOL = 1e-14
 
@@ -239,22 +241,26 @@ def energy_bounds(
 ) -> BoundReport:
     """Mandelstam-Tamm lower edge and tube-volume upper edge.
 
-    Requires a non-stationary state (dE > 0) and epsilon strictly below
-    pi * min_k sqrt(p_k); zero-population levels are dropped first and
-    recorded in the report.
+    Requires a state that moves (not evolution-invariant: see
+    metrics.is_stationary) with dE above the rounding of its own sums,
+    and epsilon strictly below both pi * min_k sqrt(p_k) and 2, where the
+    threshold 1 - eps^2/4 reaches 0; zero-population levels are dropped
+    first and recorded in the report.
     """
     if rho0.dim != H.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} != spectrum length {H.dim}")
     if not epsilon > 0:
         raise BadDomain("epsilon must be positive")
     H, rho0, dropped = reduce_to_support(H, rho0)
+    if is_stationary(H, rho0):
+        raise StationaryState("the state commutes with H on its support; it never moves")
     n = H.dim
-    if n < 2:
-        raise StationaryState("support is one-dimensional; the state never moves")
     mean, de = energy_stats(H, rho0)
-    # zero up to the rounding of its own sums, in the spectrum's own unit
+    # A moving state can still have a dE that is all round-off: levels
+    # within a few ulps of each other, such as E = (1, 1 + 2^-52), where
+    # the equal superposition gets dE 2.5e-16 for the true 1.1e-16.
     if de <= n * np.finfo(float).eps * float(np.abs(H.energies).max()):
-        raise StationaryState(f"energy uncertainty {de:.3e} is zero")
+        raise StationaryState(f"energy uncertainty {de:.3e} is below the rounding of its own sums")
     p = rho0.populations
     radii = np.sqrt(p)
     max_eps = math.pi * float(radii.min())
@@ -262,6 +268,12 @@ def energy_bounds(
         raise PreconditionViolated(
             f"epsilon {epsilon} must be < pi*min sqrt(p) = {max_eps}",
             max_epsilon=max_eps,
+        )
+    if epsilon >= 2.0:
+        raise PreconditionViolated(
+            f"epsilon {epsilon} must be < 2: the threshold 1 - eps^2/4 is then <= 0,"
+            " which every state meets at every t",
+            max_epsilon=2.0,
         )
     log_common = math.log(H.hbar) + log_cn(n) - (n - 1) * math.log(epsilon) - math.log(de)
     log_upper = log_common + 0.5 * float(np.log(p).sum())
@@ -306,18 +318,18 @@ def truncated_bounds(
     ceiling with N states, whose return means F >= f = eps.
 
     Both modes share one trace-norm ceiling on ||rho(t) - rho0||_1 at such a
-    return: 2*||R||_1 + 2*P_N*sqrt(1 - max(0, f)^2). The remainder
+    return: 2*||R||_1 + 2*P_N*sqrt(1 - f^2). The remainder
     R = rho0 - sigma_N evolves unitarily, so ||R(t) - R||_1 <= 2*||R||_1;
     the kept block contributes P_N*||sigma_tilde(t) - sigma_tilde||_1, which
-    Fuchs-van de Graaf bounds by 2*P_N*sqrt(1 - F^2). A floor below 0 says
-    nothing, as F >= 0. 1 - max(0, f)^2 is formed as g*(2 - g) with
-    g = min(1, 1 - f), so a small eps keeps its block term.
+    Fuchs-van de Graaf bounds by 2*P_N*sqrt(1 - F^2). Both modes refuse a
+    floor f <= 0. 1 - f^2 is formed as g*(2 - g) with g = 1 - f, so a small
+    eps keeps its block term.
     """
     N = trunc.N
     H_N = Hamiltonian(H.energies[np.asarray(trunc.kept_indices)], H.hbar)
     if mode == "energy":
         report = energy_bounds(H_N, trunc.sigma_tilde, epsilon)
-        shortfall = epsilon**2 / 4.0  # 1 - f
+        g = epsilon**2 / 4.0  # 1 - f
     elif mode == "dimension":
         if not (0.0 < epsilon <= 1.0):
             raise BadDomain("epsilon must be in (0, 1] for the dimension mode")
@@ -343,10 +355,9 @@ def truncated_bounds(
             max_epsilon=1.0,
             preconditions={"dimension_only": True},
         )
-        shortfall = 1.0 - epsilon
+        g = 1.0 - epsilon
     else:
         raise BadDomain(f"unknown mode {mode!r}")
-    g = min(shortfall, 1.0)
     ceiling = 2.0 * trunc.complement_trace_norm + 2.0 * trunc.P_N * math.sqrt(g * (2.0 - g))
     return report._replace(distance_ceiling=ceiling, ceiling_norm="trace")
 

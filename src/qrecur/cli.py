@@ -3,6 +3,8 @@
 Subcommands: bounds, search, strobe, truncate, verify, geometry.
 Structured reports go to JSON, time series to CSV; outputs are
 byte-identical across runs with the same configuration and seed.
+Each handler imports the modules it runs: `bounds` loads neither
+`search`, `torus` nor `truncation`.
 
 Exit codes: 0 success, 1 precondition violation (machine-readable error
 JSON on stdout), 2 I/O or parse failure.
@@ -18,26 +20,9 @@ import sys
 from contextlib import nullcontext
 from itertools import repeat
 
-from . import bounds, search
+from . import bounds
 from .errors import BadDomain, BadParameter, QrecurError
-from .search import (
-    MAX_AUTO_SAMPLES,
-    Grid,
-    default_dt,
-    find_recurrence,
-    stroboscopic_recurrence,
-)
 from .states import system_from_dict
-from .torus import (
-    FiniteMetricSpace,
-    injectivity_radius,
-    metric_recurrence_oracle,
-    sphere_ball_volume,
-    torus_from_state,
-    torus_volume,
-    tube_volume,
-)
-from .truncation import choose_N, truncate
 
 MAX_CSV_SAMPLES = 200_000
 _CSV_COLUMNS = ("t", "fidelity", "bures", "trace_dist", "hs_dist", "torus_dist")
@@ -92,7 +77,9 @@ def _try_estimate(fn, nu, eps):
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _resolve_grid(args, H, report) -> Grid:
+def _resolve_grid(args, H, report):
+    from .search import MAX_AUTO_SAMPLES, Grid, default_dt
+
     dt = default_dt(H) if args.dt == "auto" else float(args.dt)
     if args.horizon == "auto":
         # capped before the finiteness check: the bracket's upper edge
@@ -119,6 +106,8 @@ def _resolve_grid(args, H, report) -> Grid:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     H, rho0 = _load_system(args.input)
     eps = bounds.threshold_to_epsilon(args.threshold)
     report = None
@@ -132,7 +121,7 @@ def _cmd_search(args) -> int:
             f"--csv writes one row per grid sample: {grid.steps} samples exceed "
             f"the limit of MAX_CSV_SAMPLES = {MAX_CSV_SAMPLES}"
         )
-    result = find_recurrence(
+    result = search.find_recurrence(
         H,
         rho0,
         args.threshold,
@@ -177,8 +166,10 @@ def _write_csv(fh, blocks):
 
 
 def _cmd_strobe(args) -> int:
+    from . import search
+
     H, rho0 = _load_system(args.input)
-    res = stroboscopic_recurrence(
+    res = search.stroboscopic_recurrence(
         H, rho0, args.epsilon, args.t, jmax_cap=args.jmax_cap
     )
     _dump_json(
@@ -195,6 +186,8 @@ def _cmd_strobe(args) -> int:
 
 
 def _cmd_truncate(args) -> int:
+    from .truncation import choose_N, truncate
+
     H, rho0 = _load_system(args.input)
     N = args.N if args.N is not None else choose_N(rho0, args.delta_target, order=args.order)
     trunc = truncate(rho0, N, order=args.order)
@@ -212,34 +205,36 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    from . import torus
+
     out = {}
     if args.ball:
         n, r = int(args.ball[0]), float(args.ball[1])
-        out["ball"] = {"n": n, "r": r, "volume": sphere_ball_volume(n, r)}
+        out["ball"] = {"n": n, "r": r, "volume": torus.sphere_ball_volume(n, r)}
     if args.tube:
         n, theta, length = int(args.tube[0]), float(args.tube[1]), float(args.tube[2])
         out["tube"] = {
             "n": n,
             "theta": theta,
             "length": length,
-            "volume": tube_volume(n, theta, length),
+            "volume": torus.tube_volume(n, theta, length),
         }
     if args.state:
         _, rho0, dropped = bounds.reduce_to_support(*_load_system(args.state))
-        t = torus_from_state(rho0)
+        t = torus.torus_from_state(rho0)
         out["torus"] = {
             "radii": [float(r) for r in t.radii],
-            "injectivity_radius": injectivity_radius(t),
-            "volume": torus_volume(t),
+            "injectivity_radius": torus.injectivity_radius(t),
+            "volume": torus.torus_volume(t),
             "support_dropped": list(dropped),
         }
     if args.metric_space:
         with open(args.metric_space) as fh:
             spec = json.load(fh)
-        space = FiniteMetricSpace.from_dict(spec)
+        space = torus.FiniteMetricSpace.from_dict(spec)
         if "permutation" not in spec:
             raise BadDomain("permutation is missing from the metric space")
-        res = metric_recurrence_oracle(space, spec["permutation"], args.point, args.r)
+        res = torus.metric_recurrence_oracle(space, spec["permutation"], args.point, args.r)
         out["metric_recurrence"] = {**res._asdict(), "ball_convention": "open, radius r/2"}
     if not out:
         print("nothing to do: pass --ball/--tube/--state/--metric-space", file=sys.stderr)
@@ -260,6 +255,19 @@ def _cmd_verify(args) -> int:
     if args.output:
         _dump_json(results, args.output)
     return 0 if results["ok"] else 1
+
+
+def __getattr__(name):
+    """`search`'s MAX_AUTO_SAMPLES, find_recurrence and
+    stroboscopic_recurrence, importable from here without loading `search`
+    at import. Each is bound here on first access, so that code which
+    swaps the attribute and puts it back finds the object it saved."""
+    if name not in ("MAX_AUTO_SAMPLES", "find_recurrence", "stroboscopic_recurrence"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import search
+
+    value = globals()[name] = getattr(search, name)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

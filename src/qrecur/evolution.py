@@ -104,18 +104,6 @@ def make_kernel(H: Hamiltonian, rho0: DensityMatrix) -> EvolutionKernel:
     return EvolutionKernel(rho0, levels, w, r, math.sqrt(var + pad), coherence, mixedness)
 
 
-def is_stationary(H: Hamiltonian, rho0: DensityMatrix) -> bool:
-    """True when rho0 commutes with H: every coherence above round-off
-    (n * eps_mach * max |rho0|) lies between equal energies, so
-    rho(t) = rho0 at all times."""
-    if rho0.dim != H.dim:
-        raise DimensionMismatch(f"state dim {rho0.dim} != spectrum length {H.dim}")
-    m = np.abs(rho0.matrix)
-    e = H.energies
-    moving = (m > rho0.dim * np.finfo(float).eps * m.max()) & (e[:, None] != e[None, :])
-    return not moving.any()
-
-
 def evolve(kernel: EvolutionKernel, t: float) -> DensityMatrix:
     """rho(t) with entries rho0[k, k'] * exp(i (E_k' - E_k) t / hbar), and
     its Gram factor diag(u) W for the phase row u: U(t) W W^dag U(t)^dag

@@ -62,6 +62,18 @@ def energy_stats(H: Hamiltonian, rho: DensityMatrix) -> tuple[float, float]:
     return mean, float(np.sqrt(max(0.0, var)))
 
 
+def is_stationary(H: Hamiltonian, rho0: DensityMatrix) -> bool:
+    """True when rho0 commutes with H: every coherence above round-off
+    (n * eps_mach * max |rho0|) lies between equal energies, so
+    rho(t) = rho0 at all times."""
+    if rho0.dim != H.dim:
+        raise DimensionMismatch(f"state dim {rho0.dim} != spectrum length {H.dim}")
+    m = np.abs(rho0.matrix)
+    e = H.energies
+    moving = (m > rho0.dim * np.finfo(float).eps * m.max()) & (e[:, None] != e[None, :])
+    return not moving.any()
+
+
 def fvg_check(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[bool, bool]:
     """Fuchs-van de Graaf: 1 - F <= T/2 <= sqrt(1 - F^2), trace norm T,
     each side with a 1e-9 round-off allowance."""

@@ -63,15 +63,9 @@ import numpy as np
 
 from .bounds import SUPPORT_TOL, BoundReport, dimension_bound
 from .errors import BadParameter, GridTooCoarse
-from .evolution import CHUNK_START, EvolutionKernel, chunk_bounds, chunk_cap, is_stationary
-from .evolution import make_kernel
-from .metrics import bures_from_fidelity, energy_stats, trace_norm
+from .evolution import CHUNK_START, EvolutionKernel, chunk_bounds, chunk_cap, make_kernel
+from .metrics import bures_from_fidelity, energy_stats, is_stationary, trace_norm
 from .states import DensityMatrix, Hamiltonian, _validated_make
-from .torus import (
-    torus_distance_series,
-    torus_from_state,
-    torus_phase_at,
-)
 
 # Grid samples one search may ask for: the CLI cuts an auto horizon to it
 # and refuses longer explicit grids; stroboscopic_recurrence refuses a
@@ -625,9 +619,11 @@ def collect_samples(
     one stacked eigvalsh per chunk, of about 80 n^2 + 40 n bytes per
     time, so memory stays within CHUNK_BYTES; bures_series, called first,
     walks the samples near a return within it as well."""
+    from . import torus  # only these columns read the phase torus
+
     kernel = make_kernel(H, rho0)
     kernel.check_span(np.abs(times).max(initial=0.0))
-    torus = torus_from_state(rho0) if np.all(rho0.populations > SUPPORT_TOL) else None
+    flat = torus.torus_from_state(rho0) if np.all(rho0.populations > SUPPORT_TOL) else None
     lam, _ = energy_stats(H, rho0)
     for lo, hi in chunk_bounds(times.size, chunk_cap(40 * H.dim * (2 * H.dim + 1))):
         ts = times[lo:hi]
@@ -645,9 +641,21 @@ def collect_samples(
             "trace_dist": trace_dist,
             "hs_dist": hs_dist,
             "torus_dist": None
-            if torus is None
-            else torus_distance_series(torus, torus_phase_at(H, lam, ts)),
+            if flat is None
+            else torus.torus_distance_series(flat, torus.torus_phase_at(H, lam, ts)),
         }
+
+
+def __getattr__(name):
+    """torus.torus_distance_series, importable from here without loading
+    `torus` at import; bound here on first access, so that code which
+    swaps the attribute and puts it back finds the object it saved."""
+    if name != "torus_distance_series":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import torus
+
+    value = globals()[name] = torus.torus_distance_series
+    return value
 
 
 def stroboscopic_recurrence(

@@ -45,6 +45,7 @@ from qrecur.errors import (
     PreconditionViolated,
     StationaryState,
 )
+from qrecur.metrics import energy_stats, is_stationary
 from qrecur.states import random_hamiltonian
 
 
@@ -137,6 +138,32 @@ class TestSinPowerAccuracy:
         with mp.workdps(50):
             log_prefactor = mp.log(2) + (m + 1) * mp.log(mp.pi) / 2 - mp.loggamma(mp.mpf(m + 1) / 2)
             assert sphere_ball_volume(m + 1, x) == float(mp.exp(log_prefactor + ref))
+
+
+# m = 30-1000, past the reach of the Simpson oracle of the special-functions
+# suite (m <= 30); the linear values stay normal at these x
+ORACLE_MS = (30, 100, 300, 1000)
+ORACLE_XS = (0.7, 1.3, math.pi / 2, 2.0, 2.9)
+
+
+def _worst_sin_power_gap(integral) -> float:
+    """Largest relative gap of integral(m, x) to the 60-digit incomplete
+    beta over the oracle cases."""
+    gaps = []
+    for m in ORACLE_MS:
+        for x in ORACLE_XS:
+            with mp.workdps(60):
+                ref = mp.exp(_log_sin_power_ref(m, x))
+                gaps.append(float(abs(integral(m, x) - ref) / ref))
+    return max(gaps)
+
+
+class TestSinPowerOracle:
+    def test_matches_the_incomplete_beta(self):
+        assert _worst_sin_power_gap(sin_power_integral) <= 1e-13  # 1.6e-14 measured
+
+    def test_fails_an_exponent_off_by_one(self):
+        assert _worst_sin_power_gap(lambda m, x: sin_power_integral(m + 1, x)) > 1e-3
 
 
 class TestDimensionBound:
@@ -293,6 +320,48 @@ class TestEnergyBounds:
         with pytest.raises(StationaryState):
             energy_bounds(H, rho0, 0.1)
 
+    @pytest.mark.parametrize(
+        "energies, matrix",
+        [
+            # the maximally mixed qubit: dE = 0.5, yet it never leaves
+            ([0.0, 1.0], np.diag([0.5, 0.5])),
+            # a diagonal state on five distinct levels
+            ([0.0, 0.3, 1.1, 1.7, 2.9], np.diag([0.1, 0.15, 0.2, 0.25, 0.3])),
+            # a coherence only within the degenerate level E = 0
+            ([0.0, 0.0, 1.0], [[0.4, 0.2, 0.0], [0.2, 0.4, 0.0], [0.0, 0.0, 0.2]]),
+        ],
+        ids=["maximally-mixed-qubit", "diagonal5", "degenerate-coherence"],
+    )
+    def test_state_commuting_with_H_rejected(self, energies, matrix):
+        H = Hamiltonian(np.array(energies))
+        rho0 = validate_density(np.asarray(matrix, dtype=complex))
+        assert energy_stats(H, rho0)[1] > 0.1
+        with pytest.raises(StationaryState, match="commutes with H"):
+            energy_bounds(H, rho0, 0.1)
+
+    def test_dE_of_round_off_rejected_though_the_state_moves(self):
+        # levels one ulp apart: the state moves (period 2 pi / 2^-52), but the
+        # centered sum makes dE 2.5e-16 of the true 1.1e-16, so no bracket
+        H = Hamiltonian(np.array([1.0, 1.0 + 2.0**-52]))
+        rho0 = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
+        assert not is_stationary(H, rho0)
+        with pytest.raises(StationaryState, match="rounding"):
+            energy_bounds(H, rho0, 0.1)
+        # four ulps apart, dE clears the rounding and gets its bracket
+        far = Hamiltonian(np.array([1.0, 1.0 + 2.0**-50]))
+        assert energy_bounds(far, rho0, 0.1).energy_uncertainty > 0
+
+    def test_epsilon_of_two_or_more_rejected(self):
+        # p_min = 1/2 allows eps up to pi/sqrt(2) = 2.22 on the torus, but at
+        # eps >= 2 the threshold 1 - eps^2/4 is <= 0, met at every t
+        H, rho0 = self.qubit()
+        with pytest.raises(PreconditionViolated) as exc:
+            energy_bounds(H, rho0, 2.1)
+        assert exc.value.max_epsilon == 2.0
+        with pytest.raises(PreconditionViolated):
+            energy_bounds(H, rho0, 2.0)
+        assert energy_bounds(H, rho0, 1.999).lower_mt == pytest.approx(2.0 * 1.999)
+
     def test_degenerate_spectrum_rejected(self):
         H = Hamiltonian(np.array([1.0, 1.0]))
         rho0 = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -301,7 +370,8 @@ class TestEnergyBounds:
 
     def test_support_reduction_recorded(self):
         H = Hamiltonian(np.array([0.0, 1.0, 5.0]))
-        rho0 = validate_density(np.diag([0.5, 0.5, 0.0]).astype(complex))
+        # a coherence on the support makes it move: a stationary state has no bracket
+        rho0 = validate_density(np.array([[0.5, 0.25, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 0.0]]))
         rep = energy_bounds(H, rho0, 0.1)
         assert rep.n == 2
         assert rep.support_dropped == (2,)
@@ -331,8 +401,10 @@ class TestEnergyBounds:
 
 class TestTruncatedBounds:
     def system(self):
+        # populations (0.5, 0.3, 0.2); the coherence inside the kept block
+        # makes it move, and the third level is its own block
         H = Hamiltonian(np.array([0.0, 1.0, 2.0]))
-        rho0 = validate_density(np.diag([0.5, 0.3, 0.2]).astype(complex))
+        rho0 = validate_density(np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]]))
         return H, rho0
 
     def test_energy_mode_ceiling(self):
@@ -398,12 +470,13 @@ class TestTruncatedBounds:
         assert measured > 2.0 * math.sqrt(trunc.delta_N) + math.sqrt(2.0) * trunc.P_N * eps
         assert measured <= rep.distance_ceiling
 
-    def test_negative_floor_gives_the_whole_block(self):
-        # eps > 2 puts the floor 1 - eps^2/4 below 0, which F >= 0 makes void
+    def test_energy_mode_refuses_a_floor_at_or_below_zero(self):
+        # eps >= 2 puts the floor 1 - eps^2/4 at or below 0, which says nothing
         H = Hamiltonian(np.array([0.0, 1.0, 2.0]))
-        rho0 = validate_density(np.diag([0.45, 0.45, 0.1]).astype(complex))
-        rep = truncated_bounds(H, truncate(rho0, 2), 2.1, "energy")
-        assert rep.distance_ceiling == pytest.approx(2.0 * 0.1 + 2.0 * 0.9, rel=1e-12)
+        rho0 = validate_density(np.array([[0.45, 0.1, 0.0], [0.1, 0.45, 0.0], [0.0, 0.0, 0.1]]))
+        with pytest.raises(PreconditionViolated) as exc:
+            truncated_bounds(H, truncate(rho0, 2), 2.1, "energy")
+        assert exc.value.max_epsilon == 2.0
 
     def test_small_epsilon_keeps_the_block_term(self):
         H, rho0 = self.system()

@@ -44,6 +44,17 @@ def mixed3_json(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def moving3_json(tmp_path):
+    """mixed3's populations, with a coherence between levels 0 and 1 so
+    that its first two levels move."""
+    path = tmp_path / "moving3.json"
+    rows = [[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]]
+    matrix = [[[x, 0.0] for x in row] for row in rows]
+    path.write_text(json.dumps({"energies": [0.0, 1.0, 2.0], "state": {"matrix": matrix}}))
+    return str(path)
+
+
 def run_json(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -120,6 +131,20 @@ class TestBounds:
         assert code == 1
         assert out["error"] == "PreconditionViolated"
         assert out["max_epsilon"] == pytest.approx(math.pi * 0.01, rel=1e-10)
+
+    def test_stationary_state_exit_code(self, tmp_path, capsys):
+        # the maximally mixed qubit has dE = 0.5 but commutes with H
+        path = tmp_path / "mixed2.json"
+        path.write_text(json.dumps({"energies": [0.0, 1.0], "state": {"diagonal": [0.5, 0.5]}}))
+        code, out = run_json(["bounds", "--input", str(path), "--threshold", "0.999"], capsys)
+        assert code == 1
+        assert out["error"] == "StationaryState"
+        code, out = run_json(
+            ["search", "--input", str(path), "--threshold", "0.999", "--horizon", "10.0"], capsys
+        )
+        assert code == 0
+        assert out["stationary"] is True and out["t_rec"] is None
+        assert "bounds" not in out and out["bracket_check"] == {}
 
     def test_missing_file_exit_code(self, capsys):
         code = main(["bounds", "--input", "/nonexistent.json", "--threshold", "0.9"])
@@ -601,12 +626,12 @@ class TestTruncate:
         assert code == 0
         assert out["kept_indices"] == [1, 2] and out["permutation"] == [1, 2, 0]
 
-    def test_with_bounds(self, mixed3_json, capsys):
+    def test_with_bounds(self, moving3_json, capsys):
         code, out = run_json(
             [
                 "truncate",
                 "--input",
-                mixed3_json,
+                moving3_json,
                 "--N",
                 "2",
                 "--epsilon",
@@ -622,6 +647,13 @@ class TestTruncate:
         )
         assert out["bounds"]["distance_ceiling"] == pytest.approx(expected, rel=1e-12)
         assert out["bounds"]["ceiling_norm"] == "trace"
+
+    def test_energy_mode_refuses_epsilon_of_two(self, qubit_json, capsys):
+        # the qubit's torus allows eps < 2.22, but 1 - eps^2/4 <= 0 at eps >= 2
+        argv = ["truncate", "--input", qubit_json, "--N", "2", "--epsilon", "2.1", "--mode", "energy"]
+        code, out = run_json(argv, capsys)
+        assert code == 1
+        assert out["error"] == "PreconditionViolated" and out["max_epsilon"] == 2.0
 
     def test_neither_N_nor_target(self, mixed3_json, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -685,11 +717,12 @@ class TestGeometry:
 
     def test_state_with_an_empty_level_takes_the_support_of_bounds(self, tmp_path, capsys):
         # level 2 sits at SUPPORT_TOL: both commands drop it by the one cut
-        # and print the same radii, bit for bit
+        # and print the same radii, bit for bit; the coherence between
+        # levels 0 and 1 makes the support move, so that bounds has a bracket
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps(
-            {"energies": [0.0, 1.0, 2.0], "state": {"diagonal": [0.6, 0.39999999999999, 1e-14]}}
-        ))
+        rows = [[0.6, 0.1, 0.0], [0.1, 0.39999999999999, 0.0], [0.0, 0.0, 1e-14]]
+        matrix = [[[x, 0.0] for x in row] for row in rows]
+        path.write_text(json.dumps({"energies": [0.0, 1.0, 2.0], "state": {"matrix": matrix}}))
         code, out = run_json(["geometry", "--state", str(path)], capsys)
         assert code == 0
         assert out["torus"]["support_dropped"] == [2]
@@ -1014,7 +1047,7 @@ TRUNCATE_KEYS = {
             {"diagnostics": {"chunks", "samples_evaluated", "samples_sieved"}},
         ),
         (
-            ["truncate", "--input", "MIXED3", "--N", "2", "--epsilon", "0.5", "--mode", "energy"],
+            ["truncate", "--input", "MOVING3", "--N", "2", "--epsilon", "0.5", "--mode", "energy"],
             TRUNCATE_KEYS,
             {"bounds": BOUND_KEYS | {"ceiling_norm", "distance_ceiling"}},
         ),
@@ -1026,10 +1059,10 @@ TRUNCATE_KEYS = {
     ],
     ids=["bounds", "search", "strobe", "truncate-energy", "truncate-dimension"],
 )
-def test_report_key_sets(argv, keys, nested, qubit_json, mixed3_json, capsys):
+def test_report_key_sets(argv, keys, nested, qubit_json, mixed3_json, moving3_json, capsys):
     """The exact keys of each report, so a field added to or dropped from a
     result record shows up as a schema change."""
-    paths = {"QUBIT": qubit_json, "MIXED3": mixed3_json}
+    paths = {"QUBIT": qubit_json, "MIXED3": mixed3_json, "MOVING3": moving3_json}
     code, out = run_json([paths.get(a, a) for a in argv], capsys)
     assert code == 0
     assert set(out) == keys

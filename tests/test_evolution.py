@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_state, random_system
 from qrecur import Grid, Hamiltonian, evolve, make_kernel, validate_density
-from qrecur.evolution import is_stationary
 from qrecur.errors import BadParameter, DimensionMismatch
+from qrecur.metrics import is_stationary
 
 
 def _bohr_phases(rho0, energies, hbar, t):

@@ -116,6 +116,120 @@ def test_only_the_verify_subcommand_loads_the_verify_suites(tmp_path):
     assert (tmp_path / "series.csv").read_text().startswith("t,fidelity,bures,")
 
 
+def _run_fresh(code, cwd=None, extra_path=()):
+    """Run `code` in a new interpreter that imports qrecur from this
+    checkout; returns its stdout."""
+    src = str(Path(qrecur.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *extra_path])}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule_and_every_export_resolves():
+    """`import qrecur` compiles no submodule; each name in __all__ is
+    imported on first access, and dir() lists all of them."""
+    code = (
+        "import sys, qrecur\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qrecur.')))\n"
+        "missing = [name for name in qrecur.__all__ if getattr(qrecur, name, None) is None]\n"
+        "assert missing == [], missing\n"
+        "assert set(qrecur.__all__) <= set(dir(qrecur))\n"
+        "assert qrecur.search.find_recurrence is qrecur.find_recurrence\n"
+        "assert not hasattr(qrecur, 'nothing_by_this_name')\n"
+    )
+    assert _run_fresh(code).splitlines()[0] == "[]"
+
+
+_BASE = {"qrecur.bounds", "qrecur.cli", "qrecur.errors", "qrecur.metrics", "qrecur.states"}
+
+
+@pytest.mark.parametrize(
+    "argv, allowed",
+    [
+        ("bounds --input qubit.json --threshold 0.999", _BASE),
+        ("truncate --input qubit.json --N 2 --epsilon 0.1", _BASE | {"qrecur.truncation"}),
+        (
+            "geometry --ball 3 1.5 --tube 3 0.3 5.0 --state qubit.json",
+            _BASE | {"qrecur.evolution", "qrecur.torus"},
+        ),
+        (
+            "search --input qubit.json --threshold 0.999 --horizon 7.0 --refine",
+            _BASE | {"qrecur.evolution", "qrecur.search"},
+        ),
+        (
+            "search --input qubit.json --threshold 0.999 --horizon 7.0 --csv series.csv",
+            _BASE | {"qrecur.evolution", "qrecur.search", "qrecur.torus"},
+        ),
+        (
+            "strobe --input qubit.json --epsilon 0.9 --t 6.283185307179586",
+            _BASE | {"qrecur.evolution", "qrecur.search"},
+        ),
+    ],
+    ids=["bounds", "truncate", "geometry", "search", "search-csv", "strobe"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, allowed, tmp_path):
+    """Where no bytecode is cached, every module loaded is compiled on
+    every call: bounds runs without search, torus and truncation, and
+    only search --csv, of the search-type calls, reads the phase torus."""
+    (tmp_path / "qubit.json").write_text(
+        '{"energies": [0.0, 1.0], "state": '
+        '{"pure": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}}'
+    )
+    code = (
+        "import sys, qrecur.cli\n"
+        f"assert qrecur.cli.main({argv.split()!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qrecur.')))\n"
+    )
+    loaded = set(ast.literal_eval(_run_fresh(code, cwd=tmp_path).splitlines()[-1]))
+    assert loaded <= allowed, loaded - allowed
+    assert loaded >= _BASE
+
+
+def test_lazily_imported_names_stay_module_attributes():
+    """MAX_AUTO_SAMPLES, find_recurrence and stroboscopic_recurrence are
+    still attributes of qrecur.cli, the search module's own objects, and
+    torus_distance_series is still one of qrecur.search."""
+    code = (
+        "import sys, qrecur.cli\n"
+        "assert 'qrecur.search' not in sys.modules\n"
+        "from qrecur.cli import MAX_AUTO_SAMPLES\n"
+        "import qrecur.search as search\n"
+        "assert MAX_AUTO_SAMPLES == search.MAX_AUTO_SAMPLES\n"
+        "for name in ('MAX_AUTO_SAMPLES', 'find_recurrence', 'stroboscopic_recurrence'):\n"
+        "    assert getattr(qrecur.cli, name) is getattr(search, name), name\n"
+        "    assert name in vars(qrecur.cli), name\n"
+        "assert not hasattr(qrecur.cli, 'collect_samples')\n"
+        "assert 'qrecur.torus' not in sys.modules\n"
+        "import qrecur.torus as torus\n"
+        "assert search.torus_distance_series is torus.torus_distance_series\n"
+        "assert 'torus_distance_series' in vars(search)\n"
+        "assert not hasattr(search, 'torus_phase_at')\n"
+    )
+    _run_fresh(code)
+
+
+def test_tracer_restores_what_it_wrapped_in_a_fresh_interpreter():
+    """The benchmark's tracer reads each attribute, wraps it and puts it
+    back. A lazily resolved qrecur.cli.find_recurrence (or
+    qrecur.search.torus_distance_series) must come back as the object
+    that was read first, not as the wrapper of the module's own copy."""
+    bench = str(Path(__file__).resolve().parents[1] / "benchmarks")
+    code = (
+        "import tracing\n"
+        "before = tracing.originals()\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "tracer.restore()\n"
+        "after = tracing.originals()\n"
+        "changed = [key for key, fn in before.items() if after[key] is not fn]\n"
+        "assert changed == [], changed\n"
+    )
+    _run_fresh(code, extra_path=[bench])
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """A deletion can leave its imports behind. `# noqa: F401` marks a name
     imported on purpose for others to find; __init__.py only re-exports."""

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from qrecur import (
     validate_density,
     wrap_angles,
 )
+from qrecur.bounds import sin_power_integral
 from qrecur.errors import (
     BadDomain,
     BallEmpty,
@@ -187,6 +189,30 @@ class TestSubmersionInequality:
         assert check.excess <= 1e-13
 
 
+BALL_NS = (2, 3, 5, 8, 20)
+BALL_RS = (0.1, 0.7, 1.3, 2.0, 2.9)
+
+
+def _sphere_volume(n: int) -> float:
+    """vol(S^n) = 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+
+
+def _worst_ball_gap(volume) -> float:
+    """Largest relative gap of volume(n, r) to vol(S^n) I_{sin^2 r}(n/2, 1/2)/2,
+    the regularized incomplete beta at 40 digits, mirrored above pi/2."""
+    gaps = []
+    with mp.workdps(40):
+        for n in BALL_NS:
+            sphere = 2 * mp.pi ** (mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2)
+            for r in BALL_RS:
+                u = min(mp.mpf(r), mp.pi - r)
+                cap = sphere * mp.betainc(mp.mpf(n) / 2, 0.5, 0, mp.sin(u) ** 2, regularized=True) / 2
+                ref = cap if r <= math.pi / 2 else sphere - cap
+                gaps.append(float(abs(volume(n, r) - ref) / ref))
+    return max(gaps)
+
+
 class TestVolumes:
     def test_injectivity_radius(self):
         t = torus_from_state(validate_density(np.diag([0.25, 0.75]).astype(complex)))
@@ -210,6 +236,23 @@ class TestVolumes:
         assert sphere_ball_volume(3, math.pi / 2.0) == pytest.approx(
             math.pi**2, rel=1e-12
         )
+
+    def test_ball_volume_matches_the_incomplete_beta(self):
+        assert _worst_ball_gap(sphere_ball_volume) <= 1e-14  # 2.4e-15 measured
+
+    @pytest.mark.parametrize(
+        "planted",
+        [
+            # the S^2 cap vol(S^n) (1 - cos r)/2, right only for n = 2: in S^3
+            # it is exact at the hemisphere r = pi/2 and 32% high at r = 1
+            lambda n, r: _sphere_volume(n) * (1.0 - math.cos(r)) / 2.0,
+            # sin^n in place of sin^(n-1) under the integral
+            lambda n, r: _sphere_volume(n - 1) * sin_power_integral(n, r),
+        ],
+        ids=["s2-cap", "exponent-plus-one"],
+    )
+    def test_ball_oracle_fails_a_planted_formula(self, planted):
+        assert _worst_ball_gap(planted) > 1e-3
 
     def test_small_ball_is_euclidean(self):
         # for r -> 0 the geodesic ball approaches the flat ball (4/3) pi r^3
