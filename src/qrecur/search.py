@@ -29,11 +29,12 @@ threshold - SLACK, in three steps:
   there pays for no more, then the rest of the grid.
 - The speed limit, on the samples the sieve leaves: the Bures angle
   arccos F moves at most dE/hbar per unit time, so one sample far from
-  the threshold clears its neighbours (see `_pruned_series`).
+  the threshold clears its neighbours (see `_pruned_series`), in the
+  same order at every rank.
 - For a mixed rho0, the super-fidelity ceiling
   F^2 <= tr rho0 rho(t) + 1 - tr rho0^2, one n x n quadratic form in the
   phase row, skips the r x r nuclear norm where it already proves F
-  below the threshold.
+  below the threshold, and its angle clears neighbours as F's does.
 
 `scan` yields one block shape, (lo, hi, F | None), that tiles the grid.
 It goes from one surviving run of the sieve to the next: a stretch with
@@ -447,35 +448,30 @@ def _pruned_series(
     where skipped; todo is used up.
 
     The Bures angle A(t) = arccos F moves at most theta per step, so a
-    sample j with angle A_j proves every sample within
-    k_j = floor((A_j - A*)/theta) steps has A >= A* =
-    arccos(threshold - SLACK). Samples are evaluated coarse to fine:
-    every stride-th one first, stride the largest power of two at which
-    two samples at the top angle A_top could clear the gap between them
-    (k_max = (A_top - A*)/theta steps each), then halving down to 1,
-    skipping what earlier levels cleared. When no two todo samples lie
-    within k_max steps of each other, the first stride is 1: they are
-    all evaluated at once. Each clearing is proven by its own sample, so
-    A_top only sets the order of evaluation.
+    sample j with F_j <= U_j proves every sample within
+    k_j = floor((arccos U_j - A*)/theta) steps has A >= A* =
+    arccos(threshold - SLACK). Samples are visited coarse to fine: every
+    stride-th one first, stride the largest power of two at which two
+    samples at angle pi/2 could clear the gap between them (k_max =
+    (pi/2 - A*)/theta steps each), then halving down to 1, skipping what
+    earlier levels cleared. When no two todo samples lie within k_max
+    steps of each other, the first stride is 1: they are all visited at
+    once. Each clearing is proven by its own sample, so pi/2 only sets
+    the order of visits, at every rank.
 
     For rank > 1, each level first takes the super-fidelity ceiling
-    F <= sqrt(G); fidelity_series runs only where it does not already
-    prove F <= threshold - SLACK, and the tighter of the two upper
-    bounds on F sets the angle. As G >= mixedness, the ceiling proves no
-    angle above arccos sqrt(mixedness), which is then A_top where it
-    exceeds A*; otherwise A_top is pi/2. At rank 1, G = F^2 costs as much
-    as F.
+    F <= sqrt(G) of the samples it visits, and fidelity_series runs only
+    where the ceiling does not already prove F <= threshold - SLACK. U_j
+    is F_j + SLACK where F_j was evaluated, and sqrt(G_j) where the
+    ceiling settled sample j: that angle spares the G of the neighbours
+    it clears. At rank 1, G = F^2 costs as much as F.
     """
     a_star = math.acos(threshold - SLACK)
     g_star = (threshold - SLACK) ** 2
     margin = _g_rounding(kernel.dim)
     m = times.size
     out = np.full(m, -np.inf)
-    top = math.pi / 2.0
-    g_floor = math.sqrt(max(kernel.mixedness, 0.0))
-    if kernel.rank > 1 and g_floor < threshold - SLACK:
-        top = math.acos(g_floor)
-    k_max = (top - a_star) / theta
+    k_max = (math.pi / 2.0 - a_star) / theta
     span = min(max(2.0 * k_max, 1.0), m)
     if np.all(np.diff(np.flatnonzero(todo)) > k_max):
         span = 1  # isolated samples: none is expected to clear another
@@ -483,17 +479,15 @@ def _pruned_series(
     while stride >= 1:
         idx = np.flatnonzero(todo[::stride]) * stride
         if idx.size:
-            upper = np.full(idx.size, np.inf)
-            exact = np.ones(idx.size, dtype=bool)
+            g = np.full(idx.size, np.inf)  # no ceiling at rank 1
             if kernel.rank > 1:
                 g = _super_fidelity(kernel, times[idx]) + margin
-                upper = np.sqrt(g)
-                exact = g > g_star
+            exact, upper = g > g_star, np.sqrt(g)
             if exact.any():
                 f = fidelity_series(kernel, times[idx[exact]])
                 out[idx[exact]] = f
                 # F + SLACK bounds the true F from above, so the angle from below
-                upper[exact] = np.minimum(upper[exact], f + SLACK)
+                upper[exact] = f + SLACK
             todo[idx] = False
             if stride == 1:  # the last level: nothing is left to clear
                 break
