@@ -3,7 +3,11 @@
 Each coherence rotates with its Bohr frequency, so rho(t) is the
 elementwise product of rho(0) with a phase table. Phases are always
 computed from absolute time; grids never accumulate phase increments,
-which keeps long scans drift-free.
+which keeps long scans drift-free. The super-fidelity ceiling in
+`search` takes a grid's rows from a two-level table: a row is one
+product of two rows computed from absolute time, the anchor row of a
+grid time and the step row of a multiple of dt, so no error grows from
+row to row.
 
 The kernel also carries rho0 in Gram form, rho0 = W W^dag over its
 support, which is what the fidelity scan in `search` works from. W is

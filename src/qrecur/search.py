@@ -27,14 +27,17 @@ threshold - SLACK, in three steps:
   samples survive and sample by sample once few do, in blocks that keep
   them within CHUNK_BYTES: the first chunk first, so a scan that returns
   there pays for no more, then the rest of the grid.
-- The speed limit, on the samples the sieve leaves: the Bures angle
-  arccos F moves at most dE/hbar per unit time, so one sample far from
-  the threshold clears its neighbours (see `_pruned_series`), in the
-  same order at every rank.
 - For a mixed rho0, the super-fidelity ceiling
   F^2 <= tr rho0 rho(t) + 1 - tr rho0^2, one n x n quadratic form in the
-  phase row, skips the r x r nuclear norm where it already proves F
-  below the threshold, and its angle clears neighbours as F's does.
+  phase row, drops every sample the sieve leaves in a chunk where it
+  already proves F below the threshold, in one call per chunk. Its
+  phase rows are one product each of an anchor row and a step row of
+  a two-level table (see `_table_phases`), with a margin for how far
+  they lie from those of fidelity_series (see `_ceiling_margin`).
+- The speed limit, on the samples left: the Bures angle arccos F moves
+  at most dE/hbar per unit time, so one sample evaluated far from the
+  threshold clears its neighbours (see `_pruned_series`), in the same
+  order at every rank.
 
 `scan` yields one block shape, (lo, hi, F | None), that tiles the grid.
 It goes from one surviving run of the sieve to the next: a stretch with
@@ -264,9 +267,8 @@ def scan(
     kernel.check_span(abs(float(grid.t0)) + float(grid.dt) * float(grid.steps))
     counts = dict.fromkeys(_COUNTS, 0) if counts is None else counts
     cap = chunk_cap(sample_bytes(kernel.dim, kernel.rank))
-    theta = kernel.speed * grid.dt
     steps = grid.steps
-    prune = threshold is not None and theta > 0.0
+    prune = threshold is not None and kernel.speed * grid.dt > 0.0
     pairs = _sieve_pairs(kernel, grid, threshold) if prune else []
     size = min(CHUNK_START, cap)
     # the sieve's runs cover lo..end-1; its first block is the first
@@ -287,14 +289,13 @@ def scan(
             hi = min(lo + size, end)
             last = int(np.searchsorted(run_lo, hi)) - 1  # the last run to start before hi
             hi = min(hi, int(run_hi[last]) + 1)
-            ts = grid.times(lo, hi)
             if prune:
                 # lo lies in run i, so a chunk within it keeps every sample
                 todo = np.ones(hi - lo, bool) if last == i else _survivors((run_lo, run_hi), lo, hi)
                 counts["samples_sieved"] += hi - lo - int(np.count_nonzero(todo))
-                f = _pruned_series(kernel, ts, threshold, theta, todo)
+                f = _pruned_series(kernel, grid, lo, hi, threshold, todo)
             else:
-                f = fidelity_series(kernel, ts)
+                f = fidelity_series(kernel, grid.times(lo, hi))
             counts["samples_evaluated"] += int(np.isfinite(f).sum())
             size = min(2 * size, cap)
         counts["chunks"] += 1
@@ -427,29 +428,72 @@ def _survivors(runs: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> np.ndar
     return np.repeat(np.arange(edges.size - 1) % 2 == 1, np.diff(edges))
 
 
-def _super_fidelity(kernel: EvolutionKernel, times: np.ndarray) -> np.ndarray:
-    """G(t) = tr rho0 rho(t) + 1 - tr rho0^2 for every t, an upper bound on
-    F^2 (super-fidelity, Miszczak et al., QIC 9, 103 (2009)); rho(t) has
-    the purity of rho0. tr rho0 rho(t) = u . |rho0_kk'|^2 . conj(u) with u
-    the phase row, so a sample costs one row-times-matrix product."""
-    u = kernel.phases(times)
-    v = u @ kernel.coherence
-    return (u.real * v.real + u.imag * v.imag).sum(axis=1) + kernel.mixedness
+def _super_fidelity(kernel: EvolutionKernel, u: np.ndarray) -> np.ndarray:
+    """G(t) = tr rho0 rho(t) + 1 - tr rho0^2 for each phase row of u, an
+    upper bound on F^2 (super-fidelity, Miszczak et al., QIC 9, 103
+    (2009)); rho(t) has the purity of rho0. tr rho0 rho(t) = u . A .
+    conj(u) with A = |rho0_kk'|^2 real and symmetric, so it is
+    Re u . A . Re u + Im u . A . Im u: two real row-times-matrix products."""
+    a = kernel.coherence
+    # contiguous copies: BLAS would copy the strided parts anyway, and the
+    # einsum reads them twice
+    re, im = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
+    return np.einsum("ij,ij->i", re @ a, re) + np.einsum("ij,ij->i", im @ a, im) + kernel.mixedness
+
+
+def _table_phases(
+    kernel: EvolutionKernel, times: np.ndarray, dt: float, idx: np.ndarray
+) -> np.ndarray:
+    """The phase rows of times[idx], for m times dt apart, from a two-level
+    table: with b = floor(sqrt(m)), row j is the anchor row of
+    times[j - j mod b] times the step row of dt (j mod b). Both are
+    kernel.phases of an absolute time, so no phase accumulates; the table
+    takes about 2 sqrt(m) n exponentials, and a row one product (see
+    _ceiling_margin for how far it lies from kernel.phases(times[j]))."""
+    b = math.isqrt(times.size)
+    a, s = np.divmod(idx, b)
+    anchor, step = kernel.phases(times[::b]), kernel.phases(dt * np.arange(b))
+    return anchor.take(a, axis=0) * step.take(s, axis=0)
+
+
+def _ceiling_margin(kernel: EvolutionKernel, grid: Grid, hi: int) -> float:
+    """What _pruned_series adds to G before comparing it: _g_rounding(n),
+    plus 2 d (1 + d) for its phase rows from _table_phases, where
+    d = eps (4 L T + 8) bounds |u'_k - u_k| between the table row u' and
+    the kernel.phases row u of a grid sample below hi, which
+    fidelity_series uses, with T = |t0| + dt hi and L = max|l_k|.
+
+    A grid time t_j = fl(t0 + fl(dt j)) is within eps T of t0 + dt j, so
+    the direct angle fl(t_j l_k) is within 1.5 eps L T of (t0 + dt j) l_k.
+    Row j = a b + s multiplies the anchor row of t_ab, whose angle is as
+    close to (t0 + dt ab) l_k, by the step row of fl(dt s), whose angle
+    fl(fl(dt s) l_k) is within eps L dt s <= eps L T of dt s l_k. So the
+    two angles differ by at most 4 eps L T. The three complex exp (within
+    1 ulp per part, taken as 2 eps each) and the product (1.5 eps) add
+    under 8 eps. A row off by d per entry moves each term of
+    sum A_kk' u_k conj(u_k') by at most 2 d (1 + d), and
+    sum A = tr rho^2 <= 1 at unit trace."""
+    t = abs(grid.t0) + grid.dt * hi
+    d = np.finfo(float).eps * (4.0 * float(np.abs(kernel.levels).max()) * t + 8.0)
+    return _g_rounding(kernel.dim) + 2.0 * d * (1.0 + d)
 
 
 def _pruned_series(
-    kernel: EvolutionKernel,
-    times: np.ndarray,
-    threshold: float,
-    theta: float,
-    todo: np.ndarray,
+    kernel: EvolutionKernel, grid: Grid, lo: int, hi: int, threshold: float, todo: np.ndarray
 ) -> np.ndarray:
-    """fidelity_series on the evenly spaced times where todo is set, -inf
-    where skipped; todo is used up.
+    """fidelity_series on the grid samples lo..hi-1 where todo is set,
+    -inf where skipped; todo is used up.
 
-    The Bures angle A(t) = arccos F moves at most theta per step, so a
-    sample j with F_j <= U_j proves every sample within
-    k_j = floor((arccos U_j - A*)/theta) steps has A >= A* =
+    For rank > 1, the super-fidelity ceiling F <= sqrt(G) first drops
+    every pending sample whose G plus _ceiling_margin is at most
+    (threshold - SLACK)^2: one G call over the chunk's pending samples,
+    on phase rows from _table_phases, one product each instead of n
+    exponentials. At rank 1, G = F^2 costs as much as F, and nothing is
+    dropped.
+
+    The Bures angle A(t) = arccos F then moves at most theta = speed dt
+    per step, so a sample j evaluated at F_j proves every sample within
+    k_j = floor((arccos(F_j + SLACK) - A*)/theta) steps has A >= A* =
     arccos(threshold - SLACK). Samples are visited coarse to fine: every
     stride-th one first, stride the largest power of two at which two
     samples at angle pi/2 could clear the gap between them (k_max =
@@ -457,19 +501,17 @@ def _pruned_series(
     earlier levels cleared. When no two todo samples lie within k_max
     steps of each other, the first stride is 1: they are all visited at
     once. Each clearing is proven by its own sample, so pi/2 only sets
-    the order of visits, at every rank.
-
-    For rank > 1, each level first takes the super-fidelity ceiling
-    F <= sqrt(G) of the samples it visits, and fidelity_series runs only
-    where the ceiling does not already prove F <= threshold - SLACK. U_j
-    is F_j + SLACK where F_j was evaluated, and sqrt(G_j) where the
-    ceiling settled sample j: that angle spares the G of the neighbours
-    it clears. At rank 1, G = F^2 costs as much as F.
+    the order of visits.
     """
+    times = grid.times(lo, hi)
+    theta = kernel.speed * grid.dt
     a_star = math.acos(threshold - SLACK)
-    g_star = (threshold - SLACK) ** 2
-    margin = _g_rounding(kernel.dim)
-    m = times.size
+    m = hi - lo
+    if kernel.rank > 1:
+        idx = np.flatnonzero(todo)
+        g = _super_fidelity(kernel, _table_phases(kernel, times, grid.dt, idx))
+        g += _ceiling_margin(kernel, grid, hi)
+        todo[idx[g <= (threshold - SLACK) ** 2]] = False
     out = np.full(m, -np.inf)
     k_max = (math.pi / 2.0 - a_star) / theta
     span = min(max(2.0 * k_max, 1.0), m)
@@ -479,19 +521,13 @@ def _pruned_series(
     while stride >= 1:
         idx = np.flatnonzero(todo[::stride]) * stride
         if idx.size:
-            g = np.full(idx.size, np.inf)  # no ceiling at rank 1
-            if kernel.rank > 1:
-                g = _super_fidelity(kernel, times[idx]) + margin
-            exact, upper = g > g_star, np.sqrt(g)
-            if exact.any():
-                f = fidelity_series(kernel, times[idx[exact]])
-                out[idx[exact]] = f
-                # F + SLACK bounds the true F from above, so the angle from below
-                upper[exact] = f + SLACK
+            f = fidelity_series(kernel, times[idx])
+            out[idx] = f
             todo[idx] = False
             if stride == 1:  # the last level: nothing is left to clear
                 break
-            k = (np.arccos(np.minimum(1.0, upper)) - a_star) // theta
+            # F + SLACK bounds the true F from above, so the angle from below
+            k = (np.arccos(np.minimum(1.0, f + SLACK)) - a_star) // theta
             hit = k >= 1
             if hit.any():
                 k = np.minimum(k[hit], m).astype(int)

@@ -441,6 +441,15 @@ class TestPrunedScan:
             expected = int(hits[0]) + 1 if hits.size else None
             assert search.stroboscopic_recurrence(H, rho0, eps, 0.37, 20_000).j_found == expected
 
+    def test_strobe_suite_fails_a_check_that_ran_on_none(self):
+        # at n = 2, eps = 0.9 the ceiling is ceil(jmax) = 238,057 steps: a
+        # cap of 100,000 never searches it all, so that check runs on none
+        full = verify.strobe_suite(count=5)
+        assert full["ok"] and full["checked"] == {"j_within_ceiling": 5, "return_within_ceiling": 5}
+        short = verify.strobe_suite(count=5, cap=100_000)
+        assert short["checked"]["return_within_ceiling"] == 0 and not short["ok"]
+        assert short["violations"] == []
+
     def test_full_rank_n16_evaluates_under_a_quarter(self):
         # the benchmark's full-rank mixture: 0.7 of a pure state with equal
         # populations and random phases, 0.3 of a random full-rank state
@@ -530,7 +539,7 @@ class TestSuperFidelityCeiling:
                 kernel = make_kernel(H, _state_with_eigenvalues(vals, rng))
                 assert kernel.rank == r
                 f = fidelity_series(kernel, times)
-                g = search._super_fidelity(kernel, times)
+                g = search._super_fidelity(kernel, kernel.phases(times))
                 # compared as F^2: at rank 1, G = F^2 exactly, and near F = 0
                 # a square root would magnify G's ~1e-16 rounding
                 assert np.all(g >= f**2 - 1e-15)
@@ -544,7 +553,7 @@ class TestSuperFidelityCeiling:
         H, psi = _pure_system(6, 5)
         kernel = make_kernel(H, pure_state(psi))
         times = np.linspace(0.0, 30.0, 101)
-        g = search._super_fidelity(kernel, times)
+        g = search._super_fidelity(kernel, kernel.phases(times))
         assert np.allclose(g, fidelity_series(kernel, times) ** 2, rtol=0.0, atol=1e-14)
 
 
@@ -830,9 +839,9 @@ class TestWalk:
             builds.append((lo, stop))
             return windows(pairs, lo, stop)
 
-        def recording_pruned(kernel, times, *args):
-            evaluated.append(times[0])
-            return pruned(kernel, times, *args)
+        def recording_pruned(kernel, grid, lo, *args):
+            evaluated.append(lo)
+            return pruned(kernel, grid, lo, *args)
 
         monkeypatch.setattr(search, "_torus_windows", recording_windows)
         monkeypatch.setattr(search, "_pruned_series", recording_pruned)
@@ -851,7 +860,7 @@ class TestWalk:
         evaluated.clear()
         blocks = list(scan(make_kernel(H, rho0), grid, threshold=threshold))
         settled = [f is None for _, _, f in blocks]
-        assert settled == [grid.times(lo, lo + 1)[0] not in evaluated for lo, _, _ in blocks]
+        assert settled == [lo not in evaluated for lo, _, _ in blocks]
         for (lo, _, _), this, after in zip(blocks[1:], settled, settled[1:]):
             assert not (this and after) or lo == CHUNK_START
         if rec is None:  # find_recurrence reads every block
@@ -884,30 +893,50 @@ class TestWalk:
         assert found == _first_crossing([(0, grid.steps, dense)], threshold)
         assert found == _first_crossing(scan(kernel, grid), threshold)
 
-    def test_first_stride_at_rank_above_one_is_that_of_rank_one(self, monkeypatch):
+    def test_ceiling_is_one_call_over_the_pending_samples(self, monkeypatch):
         # 0.9 |+><+| + 0.05 I moves at speed 1/2, as the pure superposition
-        # does: at dt = 0.01 and threshold 0.999 an exact F clears up to 305
-        # steps on either side whatever the mixedness, so samples 280 apart
-        # are not isolated and the stride ladder starts coarse; each level
-        # takes the super-fidelity ceiling of the samples it visits
+        # does; at threshold 0.999 the ceiling drops most samples, and the
+        # walk evaluates the rest exactly or clears them from F + SLACK
         rho0 = validate_density(0.9 * np.full((2, 2), 0.5) + 0.05 * np.eye(2))
         kernel = make_kernel(Hamiltonian(np.array([0.0, 1.0])), rho0)
         assert kernel.rank == 2 and kernel.mixedness == pytest.approx(0.095, abs=1e-12)
-        times = Grid(100.0, 0.01, 2048).times()
+        grid = Grid(100.0, 0.01, 2048)
+        times = grid.times()
         todo = np.zeros(times.size, dtype=bool)
-        todo[::280] = True
-        calls = []
+        todo[::7] = True
+        rows = []
         ceiling = search._super_fidelity
         monkeypatch.setattr(
-            search, "_super_fidelity", lambda k, ts: calls.append(ts.size) or ceiling(k, ts)
+            search, "_super_fidelity", lambda k, u: rows.append(u) or ceiling(k, u)
         )
-        out = search._pruned_series(kernel, times, 0.999, kernel.speed * 0.01, todo.copy())
-        assert calls[0] < todo.sum() and sum(calls) <= todo.sum()
+        out = search._pruned_series(kernel, grid, 0, grid.steps, 0.999, todo.copy())
+        assert len(rows) == 1
+        assert np.allclose(rows[0], kernel.phases(times[todo]), rtol=0.0, atol=1e-13)
         exact = fidelity_series(kernel, times[todo])
         done = np.isfinite(out[todo])
+        assert 0 < done.sum() < todo.sum()
         assert np.array_equal(out[todo][done], exact[done])
         assert np.all(exact[~done] <= 0.999 - SLACK)
         assert np.all(np.isneginf(out[~todo]))
+
+    @pytest.mark.parametrize("t0", [0.0, 1e4, 1e8])
+    def test_table_rows_stay_within_the_derived_pad(self, t0):
+        # the ceiling's phase rows (anchor times step) against kernel.phases,
+        # which fidelity_series uses, over a 1,310-sample chunk at n = 16
+        H = random_hamiltonian(16, 3)
+        kernel = make_kernel(H, random_density(16, 3))
+        grid = Grid(t0, default_dt(H), 1310)
+        times = grid.times()
+        idx = np.arange(grid.steps)
+        rows = search._table_phases(kernel, times, grid.dt, idx)
+        direct = kernel.phases(times)
+        # the margin's phase term, 2 d (1 + d) for rows within d of kernel.phases
+        pad = search._ceiling_margin(kernel, grid, grid.steps) - search._g_rounding(16)
+        assert np.abs(rows - direct).max() <= pad / 2.0
+        shift = np.abs(search._super_fidelity(kernel, rows) - search._super_fidelity(kernel, direct))
+        assert shift.max() <= pad
+        if t0 == 1e8:  # the rounding margin alone would not cover the table
+            assert shift.max() > search._g_rounding(16)
 
     @pytest.mark.parametrize("gap, isolated", [(400, True), (40, False)])
     def test_isolated_survivors_are_evaluated_in_one_call(self, gap, isolated, monkeypatch):
@@ -917,7 +946,8 @@ class TestWalk:
         kernel = make_kernel(
             Hamiltonian(np.array([0.0, 1.0])), pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
         )
-        times = Grid(100.0, 0.01, 2048).times()
+        grid = Grid(100.0, 0.01, 2048)
+        times = grid.times()
         todo = np.zeros(times.size, dtype=bool)
         todo[::gap] = True
         calls = []
@@ -925,7 +955,7 @@ class TestWalk:
         monkeypatch.setattr(
             search, "fidelity_series", lambda k, ts: calls.append(ts.size) or series(k, ts)
         )
-        out = search._pruned_series(kernel, times, 0.999, kernel.speed * 0.01, todo.copy())
+        out = search._pruned_series(kernel, grid, 0, grid.steps, 0.999, todo.copy())
         if isolated:  # no sample can clear another: one call at stride 1
             assert calls == [todo.sum()]
             assert np.array_equal(out[todo], series(kernel, times[todo]))

@@ -30,6 +30,7 @@ from qrecur.errors import (
     NotMeasurePreserving,
     ZeroPopulation,
 )
+import qrecur.torus
 from qrecur import verify
 from qrecur.metrics import bures_from_fidelity
 from qrecur.search import Grid, bures_series, default_dt, fidelity_series, scan
@@ -253,6 +254,21 @@ class TestVolumes:
     )
     def test_ball_oracle_fails_a_planted_formula(self, planted):
         assert _worst_ball_gap(planted) > 1e-3
+
+    def test_geometry_suite_fails_the_s2_cap_off_the_hemisphere(self, monkeypatch):
+        # vol(S^3) (1 - cos r)/2 passes the Monte Carlo cap at r = pi/2 and
+        # fails the one at r = 1, where the suite reports the sample count
+        # that puts its 1% tolerance at 5 sigma
+        right = verify.geometry_suite(mc_samples=200_000)
+        assert right["ok"] and right["cap_r1_ok"] and right["cap_r1_samples"] == 1_190_170
+        def s2_cap(n, r):
+            return _sphere_volume(n) * (1.0 - math.cos(r)) / 2.0
+
+        monkeypatch.setattr(qrecur.torus, "sphere_ball_volume", s2_cap)
+        wrong = verify.geometry_suite(mc_samples=200_000)
+        assert abs(wrong["cap_mc"] - wrong["cap_exact"]) <= 0.01 * wrong["cap_exact"]
+        assert not wrong["cap_r1_ok"] and not wrong["ok"]
+        assert abs(wrong["cap_r1_mc"] - s2_cap(3, 1.0)) > 0.3 * wrong["cap_r1_mc"]
 
     def test_small_ball_is_euclidean(self):
         # for r -> 0 the geodesic ball approaches the flat ball (4/3) pi r^3
