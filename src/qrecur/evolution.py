@@ -3,8 +3,8 @@
 Each coherence rotates with its Bohr frequency, so rho(t) is the
 elementwise product of rho(0) with a phase table. Phases are always
 computed from absolute time; grids never accumulate phase increments,
-which keeps long scans drift-free. The super-fidelity ceiling in
-`search` takes a grid's rows from a two-level table: a row is one
+which keeps long scans drift-free. The mixed-state ceilings in
+`search` take a grid's rows from a two-level table: a row is one
 product of two rows computed from absolute time, the anchor row of a
 grid time and the step row of a multiple of dt, so no error grows from
 row to row.

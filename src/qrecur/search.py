@@ -12,7 +12,7 @@ in the same chunks, and `bures_series` turns F into the Bures distance,
 exact to float64 near a return as well (see NEAR_RETURN).
 
 Given a threshold, `scan` skips the samples it can prove below
-threshold - SLACK, in three steps:
+threshold - SLACK, and before any SVD three proofs act on them:
 
 - The torus-window sieve (see `_sieve_pairs` and `_torus_windows`). At
   unit trace F^2 <= (tr rho)^2 - sum over k != k' of
@@ -27,26 +27,35 @@ threshold - SLACK, in three steps:
   samples survive and sample by sample once few do, in blocks that keep
   them within CHUNK_BYTES: the first chunk first, so a scan that returns
   there pays for no more, then the rest of the grid.
-- For a mixed rho0, the super-fidelity ceiling
-  F^2 <= tr rho0 rho(t) + 1 - tr rho0^2, one n x n quadratic form in the
-  phase row, drops every sample the sieve leaves in a chunk where it
-  already proves F below the threshold, in one call per chunk. Its
-  phase rows are one product each of an anchor row and a step row of
-  a two-level table (see `_table_phases`), with a margin for how far
-  they lie from those of fidelity_series (see `_ceiling_margin`).
-- The speed limit, on the samples left: the Bures angle arccos F moves
-  at most dE/hbar per unit time, so one sample evaluated far from the
-  threshold clears its neighbours (see `_pruned_series`), in the same
-  order at every rank.
+- For a mixed rho0, the rank-one bound: A = |rho0_kk'|^2 <= mu v v^T +
+  beta I (Gershgorin, see `_rank_one_split`), so
+  tr rho0 rho(t) <= mu |v . u|^2 + beta n for the phase row u, and v . u
+  over a chunk is one complex GEMM of a two-level phase table (see
+  `_phase_table` and `_table_dot`). It runs where its floor, the bound at
+  v . u = 0, lies below (threshold - SLACK)^2, on chunks with enough
+  pending samples to pay for it (see `scan`).
+- Then the super-fidelity ceiling F^2 <= tr rho0 rho(t) + 1 - tr rho0^2,
+  one n x n quadratic form in the phase row, in one call per chunk over
+  the samples the bound passed. Its rows are one product each of an
+  anchor row and a step row of the same table. Both ceilings carry a
+  margin for how far the table rows lie from those of fidelity_series
+  (see `_rank_one_margin` and `_ceiling_margin`).
+
+The speed limit then acts on the samples left: the Bures angle arccos F
+moves at most dE/hbar per unit time, so one sample evaluated far from
+the threshold clears its neighbours (see `_pruned_series`), in the same
+order at every rank. The sample at time exactly 0 needs no proof and no
+evaluation: rho(0) = rho0, so F = 1.
 
 `scan` yields one block shape, (lo, hi, F | None), that tiles the grid.
 It goes from one surviving run of the sieve to the next: a stretch with
 no survivor is one settled (lo, hi) range with F = None, no times and
 no values, and the chunks it evaluates start and end on a survivor, so
 its cost follows the survivors, not the grid. Within a chunk a skipped
-sample reads F = -inf, so every test F >= threshold reads the same as
-on the exhaustive scan. Without a threshold the same walk has one run
-over the grid and evaluates every sample.
+sample reads F = -inf and the sample at t = 0 reads +inf (proven at or
+above any threshold), so every test F >= threshold reads as on the
+exhaustive scan. Without a threshold the same walk has one run over the
+grid and evaluates every sample.
 
 One rule, `_first_crossing`, reads every departure and return, and it
 reads a settled range as all below the threshold. The operational
@@ -259,7 +268,8 @@ def scan(
     settled range ends where a block of the sieve's windows ends or at
     the next survivor, and a chunk goes from a survivor to the last one
     within the chunk schedule's size. In a chunk a skipped sample reads
-    F = -inf, and every other F is the one fidelity_series gives.
+    F = -inf, the sample at t = 0 F = +inf, and every other F is the one
+    fidelity_series gives.
     Without a threshold, or for a state that does not move, one run
     covers the grid: the chunks are those of chunk_bounds.
     """
@@ -270,6 +280,7 @@ def scan(
     steps = grid.steps
     prune = threshold is not None and kernel.speed * grid.dt > 0.0
     pairs = _sieve_pairs(kernel, grid, threshold) if prune else []
+    split = None  # formed for the first chunk whose rank-one stage pays
     size = min(CHUNK_START, cap)
     # the sieve's runs cover lo..end-1; its first block is the first
     # chunk, so a scan that returns there builds no more windows
@@ -292,8 +303,17 @@ def scan(
             if prune:
                 # lo lies in run i, so a chunk within it keeps every sample
                 todo = np.ones(hi - lo, bool) if last == i else _survivors((run_lo, run_hi), lo, hi)
-                counts["samples_sieved"] += hi - lo - int(np.count_nonzero(todo))
-                f = _pruned_series(kernel, grid, lo, hi, threshold, todo)
+                pending = int(np.count_nonzero(todo))
+                counts["samples_sieved"] += hi - lo - pending
+                # the rank-one stage pays where G on the pending samples,
+                # 2 n^2 real multiply-adds each, costs more than its GEMM,
+                # 4 n per sample of the chunk, and than forming the split,
+                # a few n x n passes, as G takes on n samples
+                n = kernel.dim
+                stage = kernel.rank > 1 and pending >= max(n, 2 * (hi - lo) / n)
+                if stage and split is None:
+                    split = _rank_one_split(kernel)
+                f = _pruned_series(kernel, grid, lo, hi, threshold, todo, split if stage else None)
             else:
                 f = fidelity_series(kernel, grid.times(lo, hi))
             counts["samples_evaluated"] += int(np.isfinite(f).sum())
@@ -441,26 +461,38 @@ def _super_fidelity(kernel: EvolutionKernel, u: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", re @ a, re) + np.einsum("ij,ij->i", im @ a, im) + kernel.mixedness
 
 
-def _table_phases(
-    kernel: EvolutionKernel, times: np.ndarray, dt: float, idx: np.ndarray
-) -> np.ndarray:
-    """The phase rows of times[idx], for m times dt apart, from a two-level
-    table: with b = floor(sqrt(m)), row j is the anchor row of
-    times[j - j mod b] times the step row of dt (j mod b). Both are
-    kernel.phases of an absolute time, so no phase accumulates; the table
-    takes about 2 sqrt(m) n exponentials, and a row one product (see
-    _ceiling_margin for how far it lies from kernel.phases(times[j]))."""
+def _phase_table(
+    kernel: EvolutionKernel, times: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor, step), a two-level table of the phase rows of m times dt
+    apart: with b = floor(sqrt(m)), row j is anchor[j // b] * step[j % b],
+    the anchor row of times[j - j mod b] times the step row of dt (j mod b).
+    Both are kernel.phases of an absolute time, so no phase accumulates;
+    the table takes about 2 sqrt(m) n exponentials, and a row one product
+    (see _table_distance for how far it lies from kernel.phases(times[j]))."""
     b = math.isqrt(times.size)
-    a, s = np.divmod(idx, b)
-    anchor, step = kernel.phases(times[::b]), kernel.phases(dt * np.arange(b))
+    rows = kernel.phases(np.concatenate([times[::b], dt * np.arange(b)]))  # one exp call
+    return rows[:-b], rows[-b:]
+
+
+def _table_rows(table: tuple[np.ndarray, np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Rows idx of a _phase_table."""
+    anchor, step = table
+    a, s = np.divmod(idx, step.shape[0])
     return anchor.take(a, axis=0) * step.take(s, axis=0)
 
 
-def _ceiling_margin(kernel: EvolutionKernel, grid: Grid, hi: int) -> float:
-    """What _pruned_series adds to G before comparing it: _g_rounding(n),
-    plus 2 d (1 + d) for its phase rows from _table_phases, where
-    d = eps (4 L T + 8) bounds |u'_k - u_k| between the table row u' and
-    the kernel.phases row u of a grid sample below hi, which
+def _table_dot(table: tuple[np.ndarray, np.ndarray], v: np.ndarray, m: int) -> np.ndarray:
+    """v . u' for the first m rows u' of a _phase_table, in grid order:
+    one complex GEMM, (anchor * v) @ step^T, with no gathers."""
+    anchor, step = table
+    return ((anchor * v) @ step.T).ravel()[:m]
+
+
+def _table_distance(kernel: EvolutionKernel, grid: Grid, hi: int) -> float:
+    """d = eps (4 L T + 8), a bound on |u'_k - u_k| between a row u' of the
+    _phase_table of a chunk, as a product or exactly, and the
+    kernel.phases row u of the same grid sample below hi, which
     fidelity_series uses, with T = |t0| + dt hi and L = max|l_k|.
 
     A grid time t_j = fl(t0 + fl(dt j)) is within eps T of t0 + dt j, so
@@ -470,26 +502,107 @@ def _ceiling_margin(kernel: EvolutionKernel, grid: Grid, hi: int) -> float:
     fl(fl(dt s) l_k) is within eps L dt s <= eps L T of dt s l_k. So the
     two angles differ by at most 4 eps L T. The three complex exp (within
     1 ulp per part, taken as 2 eps each) and the product (1.5 eps) add
-    under 8 eps. A row off by d per entry moves each term of
+    under 8 eps."""
+    t = abs(grid.t0) + grid.dt * hi
+    return np.finfo(float).eps * (4.0 * float(np.abs(kernel.levels).max()) * t + 8.0)
+
+
+def _ceiling_margin(n: int, d: float) -> float:
+    """What _pruned_series adds to G before comparing it: _g_rounding(n),
+    plus 2 d (1 + d) for its phase rows from _phase_table, d =
+    _table_distance. A row off by d per entry moves each term of
     sum A_kk' u_k conj(u_k') by at most 2 d (1 + d), and
     sum A = tr rho^2 <= 1 at unit trace."""
-    t = abs(grid.t0) + grid.dt * hi
-    d = np.finfo(float).eps * (4.0 * float(np.abs(kernel.levels).max()) * t + 8.0)
-    return _g_rounding(kernel.dim) + 2.0 * d * (1.0 + d)
+    return _g_rounding(n) + 2.0 * d * (1.0 + d)
+
+
+class _RankOne(NamedTuple):
+    """coherence <= mu v v^T + beta I, from _rank_one_split."""
+
+    v: np.ndarray  # coherence 1 / ||coherence 1||, entrywise >= 0
+    mu: float  # v . coherence . v
+    s: float  # ||v||_1
+    floor: float  # mixedness + n beta, with beta's and G's rounding
+
+
+def _rank_one_split(kernel: EvolutionKernel) -> _RankOne:
+    """The rank-one ceiling's split of A = kernel.coherence, real,
+    symmetric and entrywise >= 0: v = A 1/||A 1||, mu = v . A . v and
+    beta the largest absolute row sum of A - mu v v^T. By Gershgorin
+    A - mu v v^T <= beta I, for any v, so A <= mu v v^T + beta I, with no
+    eigensolver, and for a phase row u, u . A . conj(u) <= mu |v . u|^2 +
+    beta ||u||^2.
+
+    The computed beta is raised by what rounding may hide: an entry
+    fl(A_kk' - fl(fl(mu v_k) v_k')) carries three roundings and a row sum
+    n - 1 more, under (n + 3) eps times the row sum of A + mu v v^T, at
+    most max(A 1) + mu max(v) ||v||_1 (eps = 2 u, which covers the second
+    order). A kernel.phases row has |u_k| <= 1 + eps, so ||u||^2 <= n
+    (1 + 3 eps). floor adds mixedness and _g_rounding(n), the margin that
+    ties G to F (as in _ceiling_margin); _rank_one_margin adds the rest."""
+    a, n, eps = kernel.coherence, kernel.dim, np.finfo(float).eps
+    rows = a.sum(axis=1)
+    v = rows / math.sqrt(rows @ rows)
+    mu = float(v @ a @ v)
+    s = float(v.sum())
+    beta = float(np.abs(a - np.multiply.outer(mu * v, v)).sum(axis=1).max())
+    beta += (n + 3) * eps * (float(rows.max()) + mu * float(v.max()) * s)
+    floor = kernel.mixedness + n * (1.0 + 3.0 * eps) * beta + _g_rounding(n)
+    return _RankOne(v, mu, s, floor)
+
+
+def _rank_one_margin(n: int, d: float, split: _RankOne) -> float:
+    """What _pruned_series adds to split.floor before it drops the samples
+    with |c'|^2 <= ((threshold - SLACK)^2 - floor)/mu, c' the computed
+    (anchor * v) @ step^T entry of a grid sample, d = _table_distance of
+    its chunk: so that each one dropped has mu |c|^2 + split.floor at most
+    (threshold - SLACK)^2, c = v . u for its kernel.phases row u, and so
+    G(u) + _g_rounding(n) with it.
+
+    With s = ||v||_1: the exact table product lies within d of u per
+    entry, so v . (anchor * step) is within s d of c. The GEMM rounds
+    v_k anchor_k once and sums n complex products of entries with modulus
+    <= 1 + eps: under (n + 4) eps s (2 u per gamma, which covers the
+    second order). So |c' - c| <= e = s (d + (n + 4) eps), |c'| <= |c| + e
+    <= s (1 + eps) + e, and |c|^2 - |c'|^2 <= e (2 |c'| + e) <=
+    e (2 s + 5 e), since e >= eps s. Forming re^2 + im^2 of c' and
+    (target - floor)/mu takes four roundings, relative to target, and the
+    sums that form floor five, relative to floor: under 3 eps (target +
+    floor) with the second order, < 6 eps, as floor < target <= 1 where
+    the bound is used."""
+    eps = np.finfo(float).eps
+    e = split.s * (d + (n + 4) * eps)
+    return split.mu * e * (2.0 * split.s + 5.0 * e) + 6.0 * eps
 
 
 def _pruned_series(
-    kernel: EvolutionKernel, grid: Grid, lo: int, hi: int, threshold: float, todo: np.ndarray
+    kernel: EvolutionKernel,
+    grid: Grid,
+    lo: int,
+    hi: int,
+    threshold: float,
+    todo: np.ndarray,
+    split: _RankOne | None,
 ) -> np.ndarray:
     """fidelity_series on the grid samples lo..hi-1 where todo is set,
-    -inf where skipped; todo is used up.
+    -inf where skipped, +inf at a pending sample whose time is exactly 0:
+    there rho(t) = rho0 and F = 1, at or above any threshold, with no
+    evaluation. todo is used up.
 
-    For rank > 1, the super-fidelity ceiling F <= sqrt(G) first drops
-    every pending sample whose G plus _ceiling_margin is at most
-    (threshold - SLACK)^2: one G call over the chunk's pending samples,
-    on phase rows from _table_phases, one product each instead of n
-    exponentials. At rank 1, G = F^2 costs as much as F, and nothing is
-    dropped.
+    For rank > 1, two ceilings then drop pending samples proven at most
+    (threshold - SLACK)^2 in F^2, each on the chunk's _phase_table, where
+    a row is one product instead of n exponentials:
+
+    - given split = _rank_one_split(kernel), the rank-one bound
+      mu |v . u|^2 + split.floor + _rank_one_margin, when its floor (the
+      bound at v . u = 0) lies below (threshold - SLACK)^2. v . u over
+      the chunk is one complex GEMM of the table, (anchor * v) @ step^T,
+      in grid order. scan passes split where the pending samples are
+      enough to pay for the GEMM and the split, None elsewhere;
+    - then the super-fidelity G + _ceiling_margin, in one call over the
+      pending samples the bound passed. A chunk with none left returns.
+
+    At rank 1, G = F^2 costs as much as F, and nothing is dropped.
 
     The Bures angle A(t) = arccos F then moves at most theta = speed dt
     per step, so a sample j evaluated at F_j proves every sample within
@@ -507,12 +620,29 @@ def _pruned_series(
     theta = kernel.speed * grid.dt
     a_star = math.acos(threshold - SLACK)
     m = hi - lo
-    if kernel.rank > 1:
-        idx = np.flatnonzero(todo)
-        g = _super_fidelity(kernel, _table_phases(kernel, times, grid.dt, idx))
-        g += _ceiling_margin(kernel, grid, hi)
-        todo[idx[g <= (threshold - SLACK) ** 2]] = False
     out = np.full(m, -np.inf)
+    if times[0] <= 0.0 <= times[-1]:
+        origin = np.flatnonzero(times == 0.0)
+        origin = origin[todo[origin]]
+        out[origin], todo[origin] = np.inf, False
+        if not todo.any():
+            return out
+    if kernel.rank > 1:
+        target = (threshold - SLACK) ** 2
+        table = _phase_table(kernel, times, grid.dt)
+        d = _table_distance(kernel, grid, hi)
+        floor = math.inf if split is None else split.floor + _rank_one_margin(kernel.dim, d, split)
+        if floor < target:
+            c = _table_dot(table, split.v, m)
+            q = c.real**2
+            q += c.imag**2
+            todo &= q > (target - floor) / split.mu
+        idx = np.flatnonzero(todo)
+        if not idx.size:
+            return out
+        g = _super_fidelity(kernel, _table_rows(table, idx))
+        g += _ceiling_margin(kernel.dim, d)
+        todo[idx[g <= target]] = False
     k_max = (math.pi / 2.0 - a_star) / theta
     span = min(max(2.0 * k_max, 1.0), m)
     if np.all(np.diff(np.flatnonzero(todo)) > k_max):

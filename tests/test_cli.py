@@ -192,10 +192,11 @@ class TestSearch:
         assert abs(out["t_rec"] - 2.0 * math.pi) <= dt
         assert out["bracket_check"]["lower_ok"] and out["bracket_check"]["upper_ok"]
         # of the 9 samples only t = 0 and 2 pi lie in the window sieve's
-        # windows around multiples of 2 pi, so those two are evaluated
+        # windows around multiples of 2 pi; t = 0 is rho0 itself, F = 1
+        # with no evaluation, so only 2 pi is evaluated
         # missable_depth = speed * dt / 2 = (1/2)(pi/4)/2
         assert out["diagnostics"] == {
-            "samples_evaluated": 2,
+            "samples_evaluated": 1,
             "samples_sieved": 7,
             "chunks": 1,
             "missable_depth": pytest.approx(math.pi / 16.0, rel=1e-12),

@@ -389,7 +389,8 @@ class TestPrunedScan:
         def paired():
             # the blocks tile the grid; each is compared, by grid index,
             # with the exhaustive values read so far; a settled range (F
-            # None) is held to the bound of a skipped sample throughout
+            # None) is held to the bound of a skipped sample throughout,
+            # and a sample proven inside (+inf) to the threshold
             exhaustive = scan(kernel, grid)
             g, g_lo = np.empty(0), 0  # exhaustive values of samples g_lo..
             for lo, hi, f in scan(kernel, grid, threshold=threshold):
@@ -400,9 +401,12 @@ class TestPrunedScan:
                     assert np.all(g[: hi - lo] <= threshold - SLACK + 1e-12)
                 else:
                     assert f.size == hi - lo
-                    skipped = np.isneginf(f)
-                    assert np.array_equal(f[~skipped], g[: hi - lo][~skipped])
+                    skipped, inside = np.isneginf(f), np.isposinf(f)
+                    done = np.isfinite(f)
+                    assert np.array_equal(f[done], g[: hi - lo][done])
                     assert np.all(g[: hi - lo][skipped] <= threshold - SLACK + 1e-12)
+                    assert np.all(g[: hi - lo][inside] >= threshold)
+                    assert np.all(grid.times(lo, hi)[inside] == 0.0)
                 g, g_lo = g[hi - lo :], hi
                 yield lo, hi, f
 
@@ -557,6 +561,117 @@ class TestSuperFidelityCeiling:
         assert np.allclose(g, fidelity_series(kernel, times) ** 2, rtol=0.0, atol=1e-14)
 
 
+class TestRankOneCeiling:
+    """coherence <= mu v v^T + beta I (Gershgorin, _rank_one_split), so
+    mu |v . u|^2 + split.floor + _rank_one_margin, with v . u taken from a
+    chunk's phase table, bounds G of the kernel.phases row u plus the
+    rounding margin that ties G to F."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+    def test_bound_covers_the_super_fidelity(self, n):
+        rng = np.random.default_rng(500 + n)
+        generic = Hamiltonian(np.sort(rng.uniform(0.0, 1.0, n)))
+        degenerate = Hamiltonian(np.sort(rng.integers(0, 3, n)).astype(float))
+        eps = np.finfo(float).eps
+        cases = [(generic, random_density(n, rng))]
+        for r in range(1, n + 1):
+            zeros = np.zeros(n - r)
+            spread = np.concatenate([rng.uniform(0.1, 1.0, r), zeros])
+            equal = np.concatenate([np.full(r, 1.0 / r), zeros])
+            cases += [
+                (generic, _state_with_eigenvalues(spread, rng)),
+                (degenerate, _state_with_eigenvalues(equal, rng)),
+                (degenerate, _mixture(n, r, rng)),
+            ]
+        late = 0.0  # the largest gap at t0 = 1e8, in units of the GEMM's rounding
+        for H, rho0 in cases:
+            kernel = make_kernel(H, rho0)
+            split = search._rank_one_split(kernel)
+            for t0 in (0.0, 1e4, 1e8):
+                grid = Grid(t0, default_dt(generic), 257)
+                times = grid.times()
+                table = search._phase_table(kernel, times, grid.dt)
+                c = search._table_dot(table, split.v, times.size)
+                direct = kernel.phases(times)
+                # |c' - c| within the derived e = s (d + (n + 4) eps)
+                d = search._table_distance(kernel, grid, grid.steps)
+                gap = np.abs(c - direct @ split.v).max()
+                assert gap <= split.s * (d + (n + 4) * eps)
+                if t0 == 1e8:
+                    late = max(late, gap / (split.s * (n + 4) * eps))
+                bound = split.mu * np.abs(c) ** 2 + split.floor
+                bound += search._rank_one_margin(n, d, split)
+                g = search._super_fidelity(kernel, direct) + search._g_rounding(n)
+                assert np.all(bound >= g)
+        assert late > 1.0  # the GEMM's rounding alone would not cover the table
+
+    def test_random_density_skips_the_stage(self, monkeypatch):
+        # a random full-rank state at n = 16 has floor mixedness + beta n
+        # above 1, so the bound can prove nothing: no GEMM is taken, even
+        # on a chunk where every sample is pending
+        H, rho0 = random_hamiltonian(16, 0), random_density(16, 0)
+        kernel = make_kernel(H, rho0)
+        split = search._rank_one_split(kernel)
+        assert split.floor > 1.0
+        dots = []
+        dot = search._table_dot
+        monkeypatch.setattr(search, "_table_dot", lambda *a: dots.append(1) or dot(*a))
+        eps = 0.5 * math.pi * math.sqrt(float(rho0.populations.min()))
+        threshold = 1.0 - eps**2 / 4.0
+        grid = Grid(0.0, default_dt(H), 8_192)
+        todo = np.ones(1024, dtype=bool)
+        search._pruned_series(kernel, grid, 1024, 2048, threshold, todo, split)
+        res = find_recurrence(H, rho0, threshold, grid)
+        assert res.diagnostics["samples_evaluated"] > 0 and dots == []
+
+    def test_few_pending_samples_take_g_alone(self, monkeypatch):
+        # the scan benchmark's n32.rfull.random kind: the sieve leaves a
+        # dozen samples, too few to pay for the split and the GEMM, so G
+        # takes them alone, and the crossings are those of the exhaustive scan
+        rng = np.random.default_rng(3200)
+        H = _spectrum("random", 32, rng)
+        rho0 = _mixture(32, 33, rng)
+        eps = 0.0075 * math.pi * math.sqrt(float(rho0.populations.min()))
+        grid = Grid(0.0, default_dt(H), 4096)
+        calls, rows = [], []
+        split, dot, ceiling = search._rank_one_split, search._table_dot, search._super_fidelity
+        monkeypatch.setattr(search, "_rank_one_split", lambda k: calls.append(1) or split(k))
+        monkeypatch.setattr(search, "_table_dot", lambda *a: calls.append(1) or dot(*a))
+        monkeypatch.setattr(
+            search, "_super_fidelity", lambda k, u: rows.append(len(u)) or ceiling(k, u)
+        )
+        dep, rec = TestPrunedScan._crossings(H, rho0, 1.0 - eps**2 / 4.0, grid)
+        assert dep is not None and rec is None
+        assert calls == [] and 0 < sum(rows) < 32
+
+    def test_box_mixture_hands_g_under_one_percent(self, monkeypatch):
+        # the scan benchmark's n16.rfull.box kind: 0.7 of an equal-magnitude
+        # pure state and 0.3 of noise on a box spectrum, departing and
+        # returning at its period 8 (n^2 - 1) steps
+        rng = np.random.default_rng(1600)
+        H = _spectrum("box", 16, rng)
+        rho0 = _mixture(16, 17, rng)
+        eps = 0.2 * math.pi * math.sqrt(float(rho0.populations.min()))
+        threshold = 1.0 - eps**2 / 4.0
+        grid = Grid(0.0, default_dt(H), 16_384)
+        kernel = make_kernel(H, rho0)
+        assert search._rank_one_split(kernel).floor < (threshold - SLACK) ** 2
+        pending, rows = [], []
+        pruned, ceiling = search._pruned_series, search._super_fidelity
+        monkeypatch.setattr(
+            search, "_pruned_series",
+            lambda k, g, lo, hi, thr, todo, split: pending.append(int(todo.sum()))
+            or pruned(k, g, lo, hi, thr, todo, split),
+        )
+        monkeypatch.setattr(
+            search, "_super_fidelity", lambda k, u: rows.append(len(u)) or ceiling(k, u)
+        )
+        dep, rec = TestPrunedScan._crossings(H, rho0, threshold, grid)
+        assert dep is not None and rec is not None
+        assert sum(pending) > 1000
+        assert 0 < sum(rows) <= sum(pending) / 100
+
+
 def _mixture(n, r, rng):
     """The benchmark's kind of mixture at rank r: 0.7 of a pure state with
     equal populations and random phases, 0.3 spread over r - 1 random
@@ -574,7 +689,8 @@ def _sieved_samples(kernel, grid, threshold, start=0):
     """Grid indices outside the windows of the sieve's pairs, taken over
     the grid block by block from _sieve_pairs and _torus_windows, and the
     F of a threshold scan that read the whole grid, -inf on its settled
-    ranges; that scan excluded exactly as many samples."""
+    ranges; that scan excluded exactly as many samples, and the samples it
+    proved inside (+inf) are at or above the threshold."""
     pairs = search._sieve_pairs(kernel, grid, threshold)
     kept = np.ones(grid.steps, dtype=bool)
     if pairs:
@@ -591,6 +707,9 @@ def _sieved_samples(kernel, grid, threshold, start=0):
             f[lo - start : hi - start] = g
     out = np.flatnonzero(~kept)
     assert counts["samples_sieved"] == out.size
+    inside = grid.times(start)[np.isposinf(f)]
+    assert np.all(inside == 0.0)
+    assert np.all(fidelity_series(kernel, inside) >= threshold)
     return out, f
 
 
@@ -895,29 +1014,68 @@ class TestWalk:
 
     def test_ceiling_is_one_call_over_the_pending_samples(self, monkeypatch):
         # 0.9 |+><+| + 0.05 I moves at speed 1/2, as the pure superposition
-        # does; at threshold 0.999 the ceiling drops most samples, and the
-        # walk evaluates the rest exactly or clears them from F + SLACK
+        # does; at threshold 0.999 the rank-one bound (floor 0.19) drops
+        # some samples in one GEMM over the chunk, G drops most of the
+        # rest in one call over the pending samples the bound passed, and
+        # the walk evaluates what is left exactly or clears it from F + SLACK
         rho0 = validate_density(0.9 * np.full((2, 2), 0.5) + 0.05 * np.eye(2))
         kernel = make_kernel(Hamiltonian(np.array([0.0, 1.0])), rho0)
         assert kernel.rank == 2 and kernel.mixedness == pytest.approx(0.095, abs=1e-12)
+        split = search._rank_one_split(kernel)
         grid = Grid(100.0, 0.01, 2048)
         times = grid.times()
         todo = np.zeros(times.size, dtype=bool)
         todo[::7] = True
-        rows = []
-        ceiling = search._super_fidelity
+        dots, rows = [], []
+        dot, ceiling = search._table_dot, search._super_fidelity
+        monkeypatch.setattr(
+            search, "_table_dot", lambda table, v, m: dots.append(dot(table, v, m)) or dots[-1]
+        )
         monkeypatch.setattr(
             search, "_super_fidelity", lambda k, u: rows.append(u) or ceiling(k, u)
         )
-        out = search._pruned_series(kernel, grid, 0, grid.steps, 0.999, todo.copy())
+        out = search._pruned_series(kernel, grid, 0, grid.steps, 0.999, todo.copy(), split)
+        # v . u over the whole chunk, in grid order
+        assert len(dots) == 1
+        assert np.allclose(dots[0], kernel.phases(times) @ split.v, rtol=0.0, atol=1e-13)
+        d = search._table_distance(kernel, grid, grid.steps)
+        floor = split.floor + search._rank_one_margin(2, d, split)
+        passed = todo & (np.abs(dots[0]) ** 2 > ((0.999 - SLACK) ** 2 - floor) / split.mu)
+        assert 0 < passed.sum() < todo.sum()
         assert len(rows) == 1
-        assert np.allclose(rows[0], kernel.phases(times[todo]), rtol=0.0, atol=1e-13)
+        assert np.allclose(rows[0], kernel.phases(times[passed]), rtol=0.0, atol=1e-13)
         exact = fidelity_series(kernel, times[todo])
         done = np.isfinite(out[todo])
         assert 0 < done.sum() < todo.sum()
         assert np.array_equal(out[todo][done], exact[done])
         assert np.all(exact[~done] <= 0.999 - SLACK)
         assert np.all(np.isneginf(out[~todo]))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_time_zero_is_proven_inside_without_an_evaluation(self, rank, monkeypatch):
+        # rho(0) = rho0, so F = 1: the sample at t = 0 reads +inf, and a
+        # chunk with nothing else pending takes no ceiling and no walk
+        rho0 = pure_state(np.array([1.0, 1.0]) / math.sqrt(2.0))
+        if rank == 2:
+            rho0 = validate_density(0.9 * np.full((2, 2), 0.5) + 0.05 * np.eye(2))
+        kernel = make_kernel(Hamiltonian(np.array([0.0, 1.0])), rho0)
+        split = search._rank_one_split(kernel) if rank > 1 else None
+        calls = []
+        for name in ("fidelity_series", "_table_dot", "_super_fidelity", "_phase_table"):
+            real = getattr(search, name)
+            monkeypatch.setattr(search, name, lambda *a, real=real: calls.append(1) or real(*a))
+        for grid in (Grid(0.0, 0.01, 64), Grid(-0.32, 0.01, 64)):  # t = 0 at index 0, 32
+            todo = np.zeros(grid.steps, dtype=bool)
+            zero = int(np.flatnonzero(grid.times() == 0.0)[0])
+            todo[zero] = True
+            out = search._pruned_series(kernel, grid, 0, grid.steps, 0.999, todo, split)
+            assert np.isposinf(out[zero]) and np.all(np.isneginf(np.delete(out, zero)))
+        assert calls == []
+        # in a scan it counts as proven inside, not as evaluated
+        grid = Grid(0.0, 0.01, 64)
+        blocks = list(scan(kernel, grid, threshold=0.999))
+        assert np.isposinf(blocks[0][2][0])
+        assert _first_crossing(blocks, 0.999) == _first_crossing(scan(kernel, grid), 0.999)
 
     @pytest.mark.parametrize("t0", [0.0, 1e4, 1e8])
     def test_table_rows_stay_within_the_derived_pad(self, t0):
@@ -928,10 +1086,11 @@ class TestWalk:
         grid = Grid(t0, default_dt(H), 1310)
         times = grid.times()
         idx = np.arange(grid.steps)
-        rows = search._table_phases(kernel, times, grid.dt, idx)
+        rows = search._table_rows(search._phase_table(kernel, times, grid.dt), idx)
         direct = kernel.phases(times)
         # the margin's phase term, 2 d (1 + d) for rows within d of kernel.phases
-        pad = search._ceiling_margin(kernel, grid, grid.steps) - search._g_rounding(16)
+        d = search._table_distance(kernel, grid, grid.steps)
+        pad = search._ceiling_margin(16, d) - search._g_rounding(16)
         assert np.abs(rows - direct).max() <= pad / 2.0
         shift = np.abs(search._super_fidelity(kernel, rows) - search._super_fidelity(kernel, direct))
         assert shift.max() <= pad
@@ -955,7 +1114,7 @@ class TestWalk:
         monkeypatch.setattr(
             search, "fidelity_series", lambda k, ts: calls.append(ts.size) or series(k, ts)
         )
-        out = search._pruned_series(kernel, grid, 0, grid.steps, 0.999, todo.copy())
+        out = search._pruned_series(kernel, grid, 0, grid.steps, 0.999, todo.copy(), None)
         if isolated:  # no sample can clear another: one call at stride 1
             assert calls == [todo.sum()]
             assert np.array_equal(out[todo], series(kernel, times[todo]))
