@@ -611,10 +611,8 @@ def _pruned_series(
     stride-th one first, stride the largest power of two at which two
     samples at angle pi/2 could clear the gap between them (k_max =
     (pi/2 - A*)/theta steps each), then halving down to 1, skipping what
-    earlier levels cleared. When no two todo samples lie within k_max
-    steps of each other, the first stride is 1: they are all visited at
-    once. Each clearing is proven by its own sample, so pi/2 only sets
-    the order of visits.
+    earlier levels cleared. Each clearing is proven by its own sample, so
+    pi/2 only sets the order of visits.
     """
     times = grid.times(lo, hi)
     theta = kernel.speed * grid.dt
@@ -643,10 +641,7 @@ def _pruned_series(
         g = _super_fidelity(kernel, _table_rows(table, idx))
         g += _ceiling_margin(kernel.dim, d)
         todo[idx[g <= target]] = False
-    k_max = (math.pi / 2.0 - a_star) / theta
-    span = min(max(2.0 * k_max, 1.0), m)
-    if np.all(np.diff(np.flatnonzero(todo)) > k_max):
-        span = 1  # isolated samples: none is expected to clear another
+    span = min(max((math.pi - 2.0 * a_star) / theta, 1.0), m)
     stride = 1 << (int(span).bit_length() - 1)
     while stride >= 1:
         idx = np.flatnonzero(todo[::stride]) * stride

@@ -27,7 +27,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def ensemble():
     start = time.monotonic()
-    res = verify.bracket_ensemble_suite(count=200, seed=42, horizon_samples=1_000_000)
+    res = verify.bracket_ensemble_suite(count=200, seed=42)
     res["runtime_s"] = time.monotonic() - start
     return res
 
@@ -63,7 +63,7 @@ def test_criterion_02_bracket_ensemble(ensemble):
 
 
 def test_criterion_03_stroboscopic():
-    res = verify.strobe_suite(count=50, seed=42, epsilon=0.9, cap=250_000)
+    res = verify.strobe_suite(count=50, seed=42, cap=250_000)
     _report(
         3,
         "stroboscopic ceiling (50 instances, n=2, eps=0.9)",
@@ -86,7 +86,7 @@ def test_criterion_04_fuchs_van_de_graaf(ensemble):
 
 
 def test_criterion_05_truncation():
-    res = verify.truncation_suite(systems=20, n_times=50, seed=42, n=6, N=3)
+    res = verify.truncation_suite(systems=20, seed=42)
     ok = res["ok"] and res["worst_invariance_dev"] <= 1e-9
     _report(
         5,
